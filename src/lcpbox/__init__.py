@@ -10,7 +10,11 @@ falsifier, and a small complementarity solver to exercise the downstream
 meaning of the classes.
 """
 
-from .errors import DimensionCapError, FastPathUnavailableError
+from .errors import (
+    CertificateVerificationError,
+    DimensionCapError,
+    FastPathUnavailableError,
+)
 from .intervals import (
     IntervalMatrix,
     comparison_matrix,

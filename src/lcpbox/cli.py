@@ -7,7 +7,8 @@ solutions), ``qp2lcp`` (convert a QP and check the induced box), ``sweep``
 
 Exit codes: 0 all requested strong properties hold; 1 at least one fails
 (or the falsifier found a counterexample); 2 usage or input error;
-3 enumeration cap exceeded / engine failure.
+3 enumeration cap exceeded / engine failure (including a certificate that
+failed re-verification).
 """
 
 from __future__ import annotations
@@ -16,10 +17,15 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
-from .errors import DimensionCapError, FastPathUnavailableError
+from .errors import (
+    CertificateVerificationError,
+    DimensionCapError,
+    FastPathUnavailableError,
+)
 from .intervals import IntervalMatrix, degenerate, from_midpoint_radius
 from .io import ParseError, parse_matrix_file
 from .lcp import LcpInstance, QpInstance, enumerate_lcp_solutions, qp_to_interval_lcp, qp_to_lcp
@@ -34,7 +40,10 @@ __all__ = ["main", "run_cli"]
 _TOL_ENV = "LCPBOX_TOL"
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: its defaults are static, and
+    ``$LCPBOX_TOL`` is read when a command runs, not here."""
     parser = argparse.ArgumentParser(
         prog="lcpbox",
         description="Robust matrix-class certification for interval matrices "
@@ -325,6 +334,7 @@ def _cmd_sweep(args, out) -> int:
             base = parsed.midpoint if isinstance(parsed, IntervalMatrix) else parsed
             box = from_midpoint_radius(base, scale * np.abs(base))
         report = run_checks(box, properties, config)
+        _attach_oracle(report, box, args)
         worst = max(worst, 0 if report.all_hold else 1)
         rows.append((scale, report))
     if args.format == "json":
@@ -359,7 +369,8 @@ def run_cli(argv=None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args, out)
-    except (DimensionCapError, FastPathUnavailableError, LpEngineError) as exc:
+    except (DimensionCapError, FastPathUnavailableError, LpEngineError,
+            CertificateVerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError) as exc:

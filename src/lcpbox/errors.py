@@ -9,3 +9,8 @@ class DimensionCapError(ValueError):
 class FastPathUnavailableError(RuntimeError):
     """Fast-path-only policy was requested but no fast-path precondition
     holds for the given box."""
+
+
+class CertificateVerificationError(RuntimeError):
+    """A negative verdict's certificate failed re-verification: an engine
+    fault, not evidence that the property fails."""

@@ -5,7 +5,8 @@ this library needs is positively homogeneous, so
 
 * ``x > 0``           becomes ``x >= e``,
 * ``M x > 0``         becomes ``M x >= e``,
-* ``M x <= 0, != 0``  becomes "exists row k with ``M x <= 0, (Mx)_k <= -1``",
+* ``M x <= 0, != 0``  becomes ``M x <= 0, (e^T M) x <= -1`` (one LP: a
+  nonpositive vector is nonzero exactly when its entry sum is negative),
 
 each after rescaling a hypothetical strict solution. The resulting weak
 systems are decided by a phase-1 simplex with Bland's anti-cycling rule,
@@ -99,8 +100,9 @@ class LinearSystem:
 class FeasibilityResult:
     """Feasibility verdict with a witness when feasible.
 
-    ``strict_row`` records which row realized the "at least one strict"
-    disjunct when :func:`feasible_positive_strict` was asked for one.
+    ``strict_row`` records a strictly negative row of ``M x`` (its
+    smallest entry) when :func:`feasible_positive_strict` was asked for
+    "at least one strict".
     """
 
     feasible: bool
@@ -268,9 +270,12 @@ def feasible_positive_strict(M, strict_all: bool,
     (Encoded exactly as ``M x >= e, x >= e`` by positive homogeneity.)
 
     With ``strict_all=False``: is there ``x > 0`` with ``M x <= 0`` and at
-    least one row strictly negative? (Encoded as a disjunction over rows k
-    of ``M x <= 0, (Mx)_k <= -1, x >= e``; the returned result carries the
-    smallest feasible k.)
+    least one row strictly negative? (Encoded as the single LP
+    ``M x <= 0, (e^T M) x <= -1, x >= e``: a solution has some row at most
+    ``-1/m``, and rescaling a strict solution meets the sum row. The
+    returned ``strict_row`` is ``argmin(M x)``, and the witness is scaled
+    up, if needed, so that this row is at most ``-1`` in the normalized
+    scale ``M / max|M|``.)
     """
     A = np.atleast_2d(np.asarray(M, dtype=float))
     m, k = A.shape
@@ -292,18 +297,21 @@ def feasible_positive_strict(M, strict_all: bool,
         sys_all = LinearSystem(A, (GE,) * m, np.ones(m), bounds)
         return solve_feasibility(sys_all, tol=tol)
     # With x > 0, a row of nonnegative entries (not all zero) forces
-    # (Ax)_r > 0, violating Ax <= 0: the whole disjunction is infeasible.
-    row_min = np.min(A, axis=1)
-    row_max = np.max(A, axis=1)
-    if np.any((row_min >= 0.0) & (row_max > 0.0)):
+    # (Ax)_r > 0, violating Ax <= 0. This also rejects a (nonzero) matrix
+    # with no negative entry, which no row could make strictly negative.
+    if np.any((np.min(A, axis=1) >= 0.0) & (np.max(A, axis=1) > 0.0)):
         return FeasibilityResult(False)
-    for row in range(m):
-        if row_min[row] >= 0.0:
-            continue  # (Ax)_row <= -1 needs a negative entry
-        coeffs = np.vstack([A, A[row]])
-        rhs = np.concatenate([np.zeros(m), [-1.0]])
-        rels = (LE,) * (m + 1)
-        res = solve_feasibility(LinearSystem(coeffs, rels, rhs, bounds), tol=tol)
-        if res.feasible:
-            return FeasibilityResult(True, witness=res.witness, strict_row=row)
-    return FeasibilityResult(False)
+    coeffs = np.vstack([A, A.sum(axis=0)])
+    rhs = np.concatenate([np.zeros(m), [-1.0]])
+    res = solve_feasibility(LinearSystem(coeffs, (LE,) * (m + 1), rhs, bounds),
+                            tol=tol)
+    if not res.feasible:
+        return res
+    x = res.witness
+    vals = A @ x
+    row = int(np.argmin(vals))
+    if vals[row] > -1.0:
+        # The sum row puts the smallest entry at or below -1/m; a factor of
+        # at least 1 brings it to -1 and keeps x >= e.
+        x = x / -vals[row]
+    return FeasibilityResult(True, witness=x, strict_row=row)

@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from . import pointclasses as pc
-from .errors import DimensionCapError, FastPathUnavailableError
+from .errors import (
+    CertificateVerificationError,
+    DimensionCapError,
+    FastPathUnavailableError,
+)
 from .intervals import (
     IntervalMatrix,
     comparison_matrix,
@@ -524,6 +529,9 @@ def _semimonotone_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
 # Strong nonsingularity and principal nondegeneracy
 # ---------------------------------------------------------------------------
 
+# Sign-vertex matrices per batch_det_signs call in _vertex_sign_sweep.
+_SWEEP_CHUNK = 1024
+
 
 def _vertex_sign_sweep(mid_sub: np.ndarray, rad_sub: np.ndarray,
                        mid_sign: int, scale_floor: float):
@@ -535,18 +543,29 @@ def _vertex_sign_sweep(mid_sub: np.ndarray, rad_sub: np.ndarray,
     block (zero for a full-support sweep), so each determinant classifies
     against the full realization's ambient scale -- the same classification
     the point-level minor test applies.
+
+    The vertices of several consecutive y go to one :func:`batch_det_signs`
+    call, at most ``_SWEEP_CHUNK`` matrices (or one y's 2^k) at a time, in
+    y-major then z order, so the first hit is the same as one y at a time.
     """
     k = mid_sub.shape[0]
     z_rows = np.array(list(sign_vectors(k)))
-    for y in sign_vectors(k, half=True):
-        y_rad = y[:, None] * rad_sub
-        vertices = mid_sub[None, :, :] - y_rad[None, :, :] * z_rows[:, None, :]
+    ys_per_call = max(1, _SWEEP_CHUNK // len(z_rows))
+    y_iter = sign_vectors(k, half=True)
+    while True:
+        ys = np.array(list(islice(y_iter, ys_per_call)))
+        if ys.size == 0:
+            return None
+        y_rad = ys[:, :, None] * rad_sub[None, :, :]
+        vertices = (mid_sub[None, None, :, :]
+                    - y_rad[:, None, :, :] * z_rows[None, :, None, :]
+                    ).reshape(-1, k, k)
         signs = batch_det_signs(vertices, scale=scale_floor)
         bad = np.nonzero(signs * mid_sign <= 0)[0]
         if bad.size:
             j = int(bad[0])
-            return y, z_rows[j], float(np.linalg.det(vertices[j]))
-    return None
+            y, z = ys[j // len(z_rows)], z_rows[j % len(z_rows)]
+            return y, z, float(np.linalg.det(vertices[j]))
 
 
 def _bisect_singular_block(box: IntervalMatrix, y: np.ndarray, z: np.ndarray,
@@ -831,7 +850,7 @@ def strong_column_sufficient(box: IntervalMatrix,
                 holds, boundary = _rho_threshold(rho, False, config.rho_tol)
                 cert = {"rho": rho}
                 if not holds:
-                    cert = _cs_false_cert_general(box, config)
+                    cert = _cs_fast_false_cert(box, config)
                     cert["rho"] = rho
                 return _finish("column-sufficient", holds,
                                "fast:identity-spectral-radius", cert, t0,
@@ -847,7 +866,7 @@ def strong_column_sufficient(box: IntervalMatrix,
                               else "fast:sign-scaled-midpoint-M")
                     cert = None
                     if not ok:
-                        cert = _cs_false_cert_general(box, config)
+                        cert = _cs_fast_false_cert(box, config)
                     return _finish("column-sufficient", ok, method, cert, t0,
                                    notes=tuple(notes))
                 notes.append("fast-path midpoint-M inapplicable: radius reducible")
@@ -855,7 +874,7 @@ def strong_column_sufficient(box: IntervalMatrix,
             sub = strong_psd(box, config)
             cert = None
             if not sub.holds:
-                cert = _cs_false_cert_general(box, config)
+                cert = _cs_fast_false_cert(box, config)
                 cert["s"] = sub.certificate["s"]
             return _finish("column-sufficient", sub.holds,
                            "fast:midpoint-PSD-via-strong-PSD", cert, t0,
@@ -889,50 +908,38 @@ def strong_column_sufficient(box: IntervalMatrix,
         raise DimensionCapError(
             f"dimension {n} exceeds index-pair cap {config.cap_index_pairs}"
         )
+    cert = _cs_witness(box)
+    return _finish("column-sufficient", cert is None,
+                   "general:signed-block-systems", cert, t0, notes=tuple(notes))
+
+
+def _cs_witness(box: IntervalMatrix) -> dict | None:
+    """The first disjoint index pair (I, J) whose signed block system has a
+    solution, as a certificate (I, J, x, strict_row and the sign-vertex
+    realization), or None when every system is infeasible."""
     ztol = _ztol(box)
-    for I, J in disjoint_index_pairs(n):
+    for I, J in disjoint_index_pairs(box.n):
         if len(I) + len(J) == 1:
-            if box.lower[I[0], I[0]] < -ztol:
-                realization = _cs_vertex_for_pair(box, I, J)
-                cert = {"I": I, "J": J, "x": np.array([1.0]), "strict_row": 0,
-                        "realization": realization}
-                return _finish("column-sufficient", False,
-                               "general:signed-block-systems", cert, t0,
-                               notes=tuple(notes))
-            continue
-        block = _strong_cs_block(box, I, J)
-        res = feasible_positive_strict(block, strict_all=False)
-        if res.feasible:
-            realization = _cs_vertex_for_pair(box, I, J)
-            cert = {"I": I, "J": J, "x": res.witness,
-                    "strict_row": res.strict_row, "realization": realization}
-            return _finish("column-sufficient", False,
-                           "general:signed-block-systems", cert, t0,
-                           notes=tuple(notes))
-    return _finish("column-sufficient", True, "general:signed-block-systems",
-                   None, t0, notes=tuple(notes))
-
-
-def _cs_false_cert_general(box: IntervalMatrix, config: CheckConfig) -> dict:
-    """Definitional (I, J, x) witness for a fast-path column-sufficiency
-    failure, extracted from the signed block systems when affordable."""
-    if box.n <= config.cap_index_pairs:
-        ztol = _ztol(box)
-        for I, J in disjoint_index_pairs(box.n):
-            if len(I) + len(J) == 1:
-                if box.lower[I[0], I[0]] < -ztol:
-                    return {"I": I, "J": J, "x": np.array([1.0]),
-                            "strict_row": 0,
-                            "realization": _cs_vertex_for_pair(box, I, J)}
+            if box.lower[I[0], I[0]] >= -ztol:
                 continue
-            block = _strong_cs_block(box, I, J)
-            res = feasible_positive_strict(block, strict_all=False)
-            if res.feasible:
-                return {"I": I, "J": J, "x": res.witness,
-                        "strict_row": res.strict_row,
-                        "realization": _cs_vertex_for_pair(box, I, J)}
-    return {"realization": box.lower.copy(),
-            "note": "witness extraction failed at tolerance boundary"}
+            x, row = np.array([1.0]), 0
+        else:
+            res = feasible_positive_strict(_strong_cs_block(box, I, J),
+                                           strict_all=False)
+            if not res.feasible:
+                continue
+            x, row = res.witness, res.strict_row
+        return {"I": I, "J": J, "x": x, "strict_row": row,
+                "realization": _cs_vertex_for_pair(box, I, J)}
+    return None
+
+
+def _cs_fast_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
+    """Certificate for a fast-path column-sufficiency failure: the
+    :func:`_cs_witness` certificate when the pairs are within their cap."""
+    cert = _cs_witness(box) if box.n <= config.cap_index_pairs else None
+    return cert or {"realization": box.lower.copy(),
+                    "note": "witness extraction failed at tolerance boundary"}
 
 
 # ---------------------------------------------------------------------------
@@ -1200,7 +1207,7 @@ def check_property(box: IntervalMatrix, prop: str,
     if config.verify_certificates and not verdict.holds:
         ok = verify_certificate(box, verdict, config)
         if not ok:
-            raise RuntimeError(
+            raise CertificateVerificationError(
                 f"certificate for strong {prop} failed re-verification"
             )
     return verdict

@@ -132,3 +132,48 @@ class TestStrictPositiveSystems:
         vals = box3_15.lower @ res.witness
         assert np.all(vals <= 1e-9)
         assert vals[res.strict_row] <= -1.0 + 1e-9
+
+
+def _per_row_disjunction(M):
+    """Reference for ``strict_all=False``: one LP per row k with a negative
+    entry, ``M x <= 0, (Mx)_k <= -1, x >= e`` on the unit-scaled matrix."""
+    c = float(np.max(np.abs(M)))
+    if c == 0.0:
+        return False
+    A = M / c
+    m, k = A.shape
+    for row in range(m):
+        if np.min(A[row]) >= 0.0:
+            continue
+        sys_ = LinearSystem(np.vstack([A, A[row]]), (LE,) * (m + 1),
+                            np.concatenate([np.zeros(m), [-1.0]]),
+                            (1.0,) * k)
+        if solve_feasibility(sys_).feasible:
+            return True
+    return False
+
+
+def test_single_lp_matches_per_row_disjunction():
+    rng = np.random.default_rng(19)
+    feasible = 0
+    for trial in range(2100):
+        n = 1 + trial % 7
+        kind = trial % 3
+        if kind == 0:
+            M = rng.uniform(-2, 2, (n, n))
+        elif kind == 1:
+            M = rng.integers(-2, 3, (n, n)).astype(float)
+        else:
+            M = rng.uniform(-1, 1, (n, n)) * (rng.random((n, n)) < 0.5)
+        res = lb.feasible_positive_strict(M, strict_all=False)
+        assert res.feasible == _per_row_disjunction(M), M
+        if not res.feasible:
+            continue
+        feasible += 1
+        # Witness contract, in the normalized scale M / max|M|.
+        vals = (M / np.max(np.abs(M))) @ res.witness
+        assert np.all(res.witness >= 1.0 - 1e-9)
+        assert np.all(vals <= 1e-9 * max(1.0, float(np.max(np.abs(vals)))))
+        assert res.strict_row == int(np.argmin(vals))
+        assert vals[res.strict_row] <= -1.0 + 1e-9
+    assert 500 < feasible < 1600

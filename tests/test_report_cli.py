@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from lcpbox.report import report_to_dict, report_to_json, report_from_json, vali
 from conftest import TRACKED
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+ELAPSED = re.compile(r'"elapsed": [-+0-9.eE]+|elapsed: [0-9.]+s')
 
 
 def write_json(tmp_path, name, payload):
@@ -295,3 +297,56 @@ class TestCli:
         code, _ = self.run("check", "--file", str(DATA / "box3_10pct.json"),
                            "--properties", "semimonotone")
         assert code == 2
+
+    def test_cached_parser_matches_fresh_parser(self, capsys):
+        import lcpbox.cli as cli
+
+        calls = [
+            ("check", "--file", str(DATA / "box3_15pct.json"),
+             "--properties", "column-sufficient", "--format", "json"),
+            ("check", "--fast-paths", "sometimes"),  # parse error
+            ("check", "--file", str(DATA / "box3_10pct.json"),
+             "--properties", "semimonotone,r0"),
+            ("falsify", "--file", str(DATA / "box3_15pct.json"),
+             "--property", "semimonotone", "--budget", "50"),
+        ]
+
+        def outcome(argv):
+            code, text = self.run(*argv)
+            err = capsys.readouterr().err
+            return code, ELAPSED.sub("", text), err
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        repeated = [outcome(argv) for argv in calls + calls]
+        assert repeated == fresh + fresh
+        assert [code for code, _, _ in fresh] == [1, 2, 0, 1]
+
+    def test_sweep_attaches_oracle(self):
+        code, text = self.run(
+            "sweep", "--file", str(DATA / "box3_10pct.json"),
+            "--scales", "0.05,0.15", "--properties", "semimonotone",
+            "--oracle-budget", "100", "--format", "json",
+        )
+        assert code == 1
+        rows = json.loads(text)
+        for row in rows:
+            oracle = row["report"]["oracle"]
+            assert oracle is not None and oracle["budget"] == 100
+            assert oracle["consistent"] is True
+
+    def test_failed_certificate_verification_exit_three(self, monkeypatch,
+                                                         capsys):
+        import lcpbox.strong as strong
+
+        monkeypatch.setattr(strong, "verify_certificate",
+                            lambda box, verdict, config=None: False)
+        code, _ = self.run("check", "--file", str(DATA / "box3_15pct.json"),
+                           "--properties", "column-sufficient")
+        assert code == 3
+        assert "failed re-verification" in capsys.readouterr().err
+        with pytest.raises(lb.CertificateVerificationError):
+            lb.check_property(parse_matrix_file(DATA / "box3_15pct.json"),
+                              "column-sufficient")

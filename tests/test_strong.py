@@ -3,11 +3,14 @@ import pytest
 
 import lcpbox as lb
 from lcpbox.errors import DimensionCapError, FastPathUnavailableError
-from lcpbox.linalg import det_sign
+from lcpbox.intervals import sign_vectors
+from lcpbox.linalg import batch_det_signs, det_sign
 from lcpbox.pointclasses import is_nonsingular
 from lcpbox.strong import (
+    _SWEEP_CHUNK,
     ALL_STRONG_PROPERTIES,
     CheckConfig,
+    _vertex_sign_sweep,
     sign_scaling_to_z,
     sign_scaling_to_z_two_sided,
 )
@@ -218,6 +221,47 @@ class TestStrongNondegenerate:
             fast = lb.strong_principally_nondegenerate(box)
             slow = lb.strong_principally_nondegenerate(box, GENERAL)
             assert fast.holds == slow.holds
+
+
+def _per_y_sweep(mid, rad, mid_sign, floor):
+    """Reference sign sweep: one batch_det_signs call per sign vector y."""
+    z_rows = np.array(list(sign_vectors(mid.shape[0])))
+    for a, y in enumerate(sign_vectors(mid.shape[0], half=True)):
+        y_rad = y[:, None] * rad
+        vertices = mid[None, :, :] - y_rad[None, :, :] * z_rows[:, None, :]
+        bad = np.nonzero(batch_det_signs(vertices, scale=floor) * mid_sign <= 0)[0]
+        if bad.size:
+            j = int(bad[0])
+            return a, y, z_rows[j], float(np.linalg.det(vertices[j]))
+    return None
+
+
+class TestVertexSignSweep:
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_chunked_sweep_matches_per_y_sweep(self, k):
+        # Integer blocks with a dominant diagonal and a sparse 0/1 radius:
+        # many have no hit, and some have their first hit past the first
+        # batch of y vectors.
+        ys_per_call = _SWEEP_CHUNK // 2 ** k
+        late = hits = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            mid = rng.integers(-1, 2, (k, k)).astype(float)
+            np.fill_diagonal(mid, rng.integers(2, 4, k))
+            rad = (rng.random((k, k)) < 0.15).astype(float)
+            mid_sign = int(np.sign(np.linalg.det(mid)))
+            for floor in (0.0, 3.0):
+                ref = _per_y_sweep(mid, rad, mid_sign, floor)
+                got = _vertex_sign_sweep(mid, rad, mid_sign, floor)
+                if ref is None:
+                    assert got is None
+                    continue
+                a, y, z, det = ref
+                assert np.array_equal(got[0], y) and np.array_equal(got[1], z)
+                assert got[2] == det
+                hits += 1
+                late += a >= ys_per_call
+        assert hits > 0 and late > 0
 
 
 class TestStrongColumnSufficient:
