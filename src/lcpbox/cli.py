@@ -31,6 +31,7 @@ from .io import ParseError, parse_matrix_file
 from .lcp import LcpInstance, QpInstance, enumerate_lcp_solutions, qp_to_interval_lcp, qp_to_lcp
 from .lp import LpEngineError
 from .oracle import cross_validate, falsify
+from .pointclasses import PointProperty
 from .report import Report, report_to_dict, report_to_json, run_checks
 from .strong import ALL_STRONG_PROPERTIES, DEFAULT_CHECK_PROPERTIES, CheckConfig
 from .tolerances import RHO_TOL
@@ -222,8 +223,7 @@ def _cmd_check(args, out) -> int:
 def _cmd_falsify(args, out) -> int:
     parsed = parse_matrix_file(args.file)
     box = _as_box(parsed)
-    tokens = ALL_STRONG_PROPERTIES + ("m0", "p")
-    if args.property not in tokens:
+    if args.property not in {p.value for p in PointProperty}:
         raise ParseError(f"unknown property token {args.property!r}")
     outcome = falsify(box, args.property, budget=args.budget, seed=args.seed)
     if args.format == "json":

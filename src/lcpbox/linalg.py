@@ -90,8 +90,8 @@ def det_sign(M, scale: float | None = None) -> int:
 
 def _minor_threshold(ref: float, k: int) -> float:
     """Zero-classification bound of a k-by-k minor at reference magnitude
-    ``ref``: the one threshold :func:`minor_sign` and
-    :func:`batch_minor_signs` share."""
+    ``ref``: the one threshold :func:`minor_sign`,
+    :func:`batch_minor_signs` and :func:`batch_det_signs` share."""
     return PIVOT_TOL * ref**k * k
 
 
@@ -147,48 +147,61 @@ def minor_sign(M: np.ndarray, idx, scale: float) -> int:
     return 1 if d > 0 else -1
 
 
+def _stack_minor_signs(stack: np.ndarray, idx, ref: np.ndarray) -> np.ndarray:
+    """Classified signs of the ``idx`` principal minor of every matrix in
+    ``stack`` against the reference magnitudes ``ref`` (one per matrix).
+
+    The one batched zero rule: :func:`minor_sign`'s closed forms for blocks
+    up to 3x3 in the same operation order, the same library determinant
+    beyond, and :func:`_minor_threshold`. numpy's vectorized ``**`` can
+    differ from libm ``pow``, which the scalar threshold uses, in the last
+    bit, so the determinants within a relative 1e-12 of the vectorized
+    threshold are decided again with the scalar one.
+    """
+    k = len(idx)
+    if k <= 3:
+        d, _ = _closed_form_minor(lambda r, c: stack[:, r, c], idx)
+    elif k == stack.shape[-1] and list(idx) == list(range(k)):
+        d = np.linalg.det(stack)
+    else:
+        d = np.linalg.det(stack[:, list(idx)][:, :, list(idx)])
+    size = np.abs(d)
+    thresh = PIVOT_TOL * ref**k * k
+    zero = size <= thresh
+    near = np.abs(size - thresh) <= np.maximum(1e-12 * thresh, 1e-300)
+    for v in np.flatnonzero(near).tolist():
+        zero[v] = size[v] <= _minor_threshold(float(ref[v]), k)
+    signs = np.where(d > 0, 1, -1)
+    signs[zero] = 0
+    return signs
+
+
 def batch_minor_signs(stack: np.ndarray, idx) -> np.ndarray:
     """Classified signs of the ``idx`` principal minor of every matrix in
     a stack of shape (V, n, n).
 
-    Element v equals ``minor_sign(stack[v], idx, max|stack[v]|)`` exactly:
-    blocks up to 3x3 use the same closed forms in the same operation
-    order, larger blocks the same library determinant, and the threshold
-    is the same scalar routine evaluated at each distinct reference
-    magnitude. A block's max|entry| never exceeds its matrix's, so the
-    reference magnitude is max(max|stack[v]|, 1e-300).
+    Element v equals ``minor_sign(stack[v], idx, max|stack[v]|)`` exactly
+    (see :func:`_stack_minor_signs`). A block's max|entry| never exceeds
+    its matrix's, so the reference magnitude is max(max|stack[v]|, 1e-300).
     """
     stack = np.asarray(stack, dtype=float)
-    k = len(idx)
-    if k <= 3:
-        d, _ = _closed_form_minor(lambda r, c: stack[:, r, c], idx)
-    else:
-        d = np.linalg.det(stack[:, list(idx)][:, :, list(idx)])
     ref = np.maximum(np.max(np.abs(stack), axis=(-2, -1)), 1e-300)
-    levels, where = np.unique(ref, return_inverse=True)
-    thresh = np.array([_minor_threshold(r, k) for r in levels.tolist()])[where]
-    signs = np.where(d > 0, 1, -1)
-    signs[np.abs(d) <= thresh] = 0
-    return signs
+    return _stack_minor_signs(stack, idx, ref)
 
 
 def batch_det_signs(stack: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Classified determinant signs of a stack of k-by-k matrices.
 
-    Uses the vectorized library determinant for throughput; the zero
-    classification threshold mirrors the pivoted kernel by scaling the
-    pivot tolerance with the reference magnitude to the k-th power.
-    ``scale`` plays the same ambient role as in :func:`determinant`.
+    Element v equals ``minor_sign(stack[v], range(k), scale or 0.0)``
+    exactly (see :func:`_stack_minor_signs`): ``scale`` is the ambient
+    magnitude of the matrix the blocks sit in, as in :func:`minor_sign`.
     """
     stack = np.asarray(stack, dtype=float)
     k = stack.shape[-1]
-    dets = np.linalg.det(stack)
-    own = np.max(np.abs(stack), axis=(-2, -1))
-    ref = own if scale is None else np.maximum(own, float(scale))
-    thresh = PIVOT_TOL * np.maximum(ref, 1e-300) ** k * k
-    signs = np.sign(dets)
-    signs[np.abs(dets) <= thresh] = 0.0
-    return signs.astype(int)
+    ref = np.max(np.abs(stack), axis=(-2, -1))
+    if scale is not None:
+        ref = np.maximum(ref, float(scale))
+    return _stack_minor_signs(stack, range(k), np.maximum(ref, 1e-300))
 
 
 def _strong_components(adj: np.ndarray) -> list[list[int]]:
@@ -267,24 +280,15 @@ def spectral_radius_nonneg(
     if n == 0 or float(np.max(A)) == 0.0:
         return SpectralResult(0.0, 0, True)
     best = 0.0
-    best_block: list[int] = []
-    best_vector = np.ones(0)
     total_iterations = 0
     all_converged = True
     for comp in _strong_components(A > 0.0):
         B = A[np.ix_(comp, comp)]
-        rho_b, v_b, its, ok = _perron_root_irreducible(B, tol, max_iterations)
+        rho_b, _, its, ok = _perron_root_irreducible(B, tol, max_iterations)
         total_iterations += its
         all_converged = all_converged and ok
-        if rho_b > best:
-            best = rho_b
-            best_block = comp
-            best_vector = v_b
-    result = SpectralResult(best, total_iterations, all_converged)
-    # Dominant block and its iterate are kept for residual verification.
-    object.__setattr__(result, "_block", tuple(best_block))
-    object.__setattr__(result, "_vector", best_vector)
-    return result
+        best = max(best, rho_b)
+    return SpectralResult(best, total_iterations, all_converged)
 
 
 def is_positive_definite(M, tol: float = PIVOT_TOL) -> bool:

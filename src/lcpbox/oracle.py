@@ -55,8 +55,6 @@ class OracleOutcome:
 
 
 def _point_predicate(prop: str):
-    if prop == "nonsingular":
-        return pc.is_nonsingular
     token = pc.PointProperty.from_token(prop)
     return lambda A: pc.point_check(A, token)
 

@@ -59,6 +59,7 @@ class PointProperty(Enum):
     M = "m"
     M0 = "m0"
     H = "h"
+    NONSINGULAR = "nonsingular"
     COPOSITIVE = "copositive"
     STRICTLY_COPOSITIVE = "strictly-copositive"
     SEMIMONOTONE = "semimonotone"
@@ -465,6 +466,7 @@ _CHECKS = {
     PointProperty.M: is_M,
     PointProperty.M0: is_M0,
     PointProperty.H: is_H,
+    PointProperty.NONSINGULAR: is_nonsingular,
     PointProperty.COPOSITIVE: lambda A: is_copositive(A, strict=False),
     PointProperty.STRICTLY_COPOSITIVE: lambda A: is_copositive(A, strict=True),
     PointProperty.SEMIMONOTONE: is_semimonotone,

@@ -8,12 +8,16 @@ positive (semi)definite midpoint). Every verdict records which code path
 decided it; every negative verdict carries a certificate with a concrete
 realization in the box (or enough data to reconstruct one), re-verified
 against the point-level definitions before reporting.
+
+The properties with fast paths are decided through one driver,
+:func:`_decide`; strong R0 is the t = 0 case of the strong R systems.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -165,6 +169,11 @@ def _cfg(config: CheckConfig | None) -> CheckConfig:
     return config if config is not None else CheckConfig()
 
 
+def _check_cap(n: int, cap: int, what: str, config: CheckConfig) -> None:
+    if n > cap and not config.override_caps:
+        raise DimensionCapError(f"dimension {n} exceeds {what} cap {cap}")
+
+
 def _ztol(box: IntervalMatrix) -> float:
     return 1e-12 * max(1.0, float(np.max(np.abs(box.upper))),
                        float(np.max(np.abs(box.lower))))
@@ -174,19 +183,86 @@ def _is_identity(M: np.ndarray) -> bool:
     return bool(np.array_equal(M, np.eye(M.shape[0])))
 
 
-def _rho_threshold(rho: float, strict: bool, tol: float) -> tuple[bool, bool]:
-    """(holds, boundary) for rho <= 1 (strict: rho < 1) with tolerance."""
-    boundary = abs(rho - 1.0) <= tol
-    holds = (rho < 1.0 - tol) if strict else (rho <= 1.0 + tol)
-    return holds, boundary
-
-
 def _is_symmetric_box(box: IntervalMatrix) -> bool:
     tol = _ztol(box)
     return bool(
         np.all(np.abs(box.midpoint - box.midpoint.T) <= tol)
         and np.all(np.abs(box.radius - box.radius.T) <= tol)
     )
+
+
+# ---------------------------------------------------------------------------
+# The shared driver and the shared fast path
+# ---------------------------------------------------------------------------
+
+
+def _decide(prop: str, box: IntervalMatrix, config: CheckConfig | None,
+            fast_paths, general) -> PropertyVerdict:
+    """Decide one strong property.
+
+    Each fast path is called as ``fast(box, config, notes)`` and returns
+    ``(holds, method, certificate, boundary)``, or None when it does not
+    apply; the first that applies decides. Under ``fast_paths="off"`` none
+    is tried, and under ``"only"`` a box that none applies to raises
+    :class:`FastPathUnavailableError`. The general route is called the same
+    way and returns ``(holds, method, certificate)``. Fast paths and the
+    general route may append notes.
+    """
+    config = _cfg(config)
+    t0 = time.perf_counter()
+    notes: list[str] = []
+    if config.fast_paths != "off":
+        for fast in fast_paths:
+            hit = fast(box, config, notes)
+            if hit is not None:
+                holds, method, cert, boundary = hit
+                return _finish(prop, holds, method, cert, t0, boundary, notes)
+        if config.fast_paths == "only":
+            raise FastPathUnavailableError(
+                f"no fast path applies to strong {prop} for this box"
+            )
+    holds, method, cert = general(box, config, notes)
+    return _finish(prop, holds, method, cert, t0, notes=notes)
+
+
+def _rho_verdict(box: IntervalMatrix, radius: np.ndarray, strict: bool,
+                 config: CheckConfig, false_cert):
+    """The identity-midpoint fast path: the property holds strongly iff
+    rho(radius) <= 1 (strict: < 1), compared with tolerance ``rho_tol``,
+    and rho within it of 1 is flagged as boundary. A failure carries
+    ``false_cert(box, config)`` plus rho."""
+    rho = spectral_radius_nonneg(radius).rho
+    tol = config.rho_tol
+    holds = (rho < 1.0 - tol) if strict else (rho <= 1.0 + tol)
+    cert = {"rho": rho} if holds else {**false_cert(box, config), "rho": rho}
+    return holds, "fast:identity-spectral-radius", cert, abs(rho - 1.0) <= tol
+
+
+def _identity_fast(box: IntervalMatrix, config: CheckConfig, notes,
+                   strict: bool, false_cert, quadratic: bool = False):
+    """:func:`_rho_verdict` when the midpoint is exactly the identity.
+    Quadratic-form classes see only symmetric parts, so they test the
+    symmetrized midpoint and radius."""
+    mid, rad = box.midpoint, box.radius
+    if quadratic:
+        mid, rad = symmetric_part(mid), symmetric_part(rad)
+    if not _is_identity(mid):
+        return None
+    return _rho_verdict(box, rad, strict, config, false_cert)
+
+
+def _unwitnessed(box: IntervalMatrix) -> dict:
+    return {"realization": box.lower.copy(),
+            "note": "witness extraction failed at tolerance boundary"}
+
+
+def _fast_failure_cert(box: IntervalMatrix, cap: int, witness) -> dict:
+    """Certificate for a fast-path failure: the general route's witness,
+    ``witness()``, when n is within the route's cap; otherwise, or when no
+    witness comes out at the tolerance boundary, the lower bound and a
+    note."""
+    cert = witness() if box.n <= cap else None
+    return cert or _unwitnessed(box)
 
 
 # ---------------------------------------------------------------------------
@@ -203,90 +279,63 @@ def _entry_requirement(value: float, tol: float) -> int | None:
     return None
 
 
+def _parity_labels(size: int, edges) -> np.ndarray | None:
+    """Labels l in {-1,+1}^size with l[a] * l[b] == r for every edge
+    (a, b, r), or None when the parities are inconsistent.
+
+    Depth-first search over adjacency lists; roots are taken in index
+    order and labelled +1, so the answer is unique.
+    """
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for a, b, r in edges:
+        adjacent[a].append((b, r))
+        adjacent[b].append((a, r))
+    label = [0] * size
+    for root in range(size):
+        if label[root]:
+            continue
+        label[root] = 1
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, r in adjacent[a]:
+                want = r * label[a]
+                if not label[b]:
+                    label[b] = want
+                    stack.append(b)
+                elif label[b] != want:
+                    return None
+    return np.array(label, dtype=float)
+
+
 def sign_scaling_to_z(M: np.ndarray) -> np.ndarray | None:
     """Find s in {-1,+1}^n with D_s M D_s a Z-matrix, or None.
 
     The requirement s_i s_j = -sign(M_ij) on nonzero off-diagonal entries
-    is a parity constraint per edge, so consistency is decided by sign
-    propagation over connected components. Complete: if any valid s
-    exists, one is found.
+    is a parity constraint per edge, decided by :func:`_parity_labels`.
+    Complete: if any valid s exists, one is found.
     """
     n = M.shape[0]
     tol = 1e-12 * max(1.0, float(np.max(np.abs(M), initial=0.0)))
-    req = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            r1 = _entry_requirement(M[i, j], tol)
-            r2 = _entry_requirement(M[j, i], tol)
-            if r1 is not None and r2 is not None and r1 != r2:
-                return None
-            r = r1 if r1 is not None else r2
-            if r is not None:
-                req[(i, j)] = r
-    s = np.zeros(n)
-    for root in range(n):
-        if s[root] != 0:
-            continue
-        s[root] = 1.0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for (a, b), r in req.items():
-                if a == i or b == i:
-                    other = b if a == i else a
-                    want = r * s[i]
-                    if s[other] == 0:
-                        s[other] = want
-                        stack.append(other)
-                    elif s[other] != want:
-                        return None
-    return s
+    edges = [(i, j, r) for i in range(n) for j in range(n) if i != j
+             if (r := _entry_requirement(M[i, j], tol)) is not None]
+    return _parity_labels(n, edges)
 
 
 def sign_scaling_to_z_two_sided(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Find (y, z) in {-1,+1}^n x {-1,+1}^n with D_y M D_z a Z-matrix with
-    positive diagonal, or None. Parity propagation over the bipartite
-    row/column graph; complete."""
+    positive diagonal, or None. Parity constraints y_i z_j on the bipartite
+    graph of rows (nodes 0..n-1) and columns (nodes n..2n-1); complete."""
     n = M.shape[0]
     tol = 1e-12 * max(1.0, float(np.max(np.abs(M), initial=0.0)))
-    req = {}  # (row i, col j) -> required y_i * z_j
-    for i in range(n):
-        if abs(M[i, i]) <= tol:
-            return None  # positive diagonal unreachable
-        req[(i, i)] = 1 if M[i, i] > 0 else -1
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                r = _entry_requirement(M[i, j], tol)
-                if r is not None:
-                    req[(i, j)] = r
-    y = np.zeros(n)
-    z = np.zeros(n)
-    for root in range(n):
-        if y[root] != 0:
-            continue
-        y[root] = 1.0
-        stack = [("y", root)]
-        while stack:
-            side, i = stack.pop()
-            for (a, b), r in req.items():
-                if side == "y" and a == i:
-                    want = r * y[i]
-                    if z[b] == 0:
-                        z[b] = want
-                        stack.append(("z", b))
-                    elif z[b] != want:
-                        return None
-                elif side == "z" and b == i:
-                    want = r * z[i]
-                    if y[a] == 0:
-                        y[a] = want
-                        stack.append(("y", a))
-                    elif y[a] != want:
-                        return None
-    y[y == 0] = 1.0
-    z[z == 0] = 1.0
-    return y, z
+    diag = np.diag(M)
+    if np.any(np.abs(diag) <= tol):
+        return None  # positive diagonal unreachable
+    edges = [(i, n + i, 1 if diag[i] > 0 else -1) for i in range(n)]
+    edges += [(i, n + j, r) for i in range(n) for j in range(n) if i != j
+              if (r := _entry_requirement(M[i, j], tol)) is not None]
+    labels = _parity_labels(2 * n, edges)
+    return None if labels is None else (labels[:n], labels[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -306,29 +355,29 @@ def strong_s(box: IntervalMatrix, config: CheckConfig | None = None) -> Property
                    notes=("lower bound matrix is not an S-matrix",))
 
 
+def _upper_positive_offdiag(box: IntervalMatrix) -> tuple[int, int] | None:
+    """The first off-diagonal entry of the upper bound above zero, if any."""
+    off = box.upper - np.diag(np.diag(box.upper))
+    bad = np.argwhere(off > _ztol(box))
+    return None if bad.size == 0 else (int(bad[0][0]), int(bad[0][1]))
+
+
 def strong_z(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong Z: the upper bound is a Z-matrix."""
     t0 = time.perf_counter()
-    up = box.upper
-    tol = _ztol(box)
-    off = up - np.diag(np.diag(up))
-    bad = np.argwhere(off > tol)
-    if bad.size == 0:
+    entry = _upper_positive_offdiag(box)
+    if entry is None:
         return _finish("z", True, "definition:upper-bound", None, t0)
-    i, j = (int(bad[0][0]), int(bad[0][1]))
-    cert = {"realization": up.copy(), "entry": (i, j)}
+    cert = {"realization": box.upper.copy(), "entry": entry}
     return _finish("z", False, "definition:upper-bound", cert, t0)
 
 
 def strong_m(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong M: lower bound an M-matrix and upper off-diagonal nonpositive."""
     t0 = time.perf_counter()
-    tol = _ztol(box)
-    off = box.upper - np.diag(np.diag(box.upper))
-    bad = np.argwhere(off > tol)
-    if bad.size > 0:
-        i, j = (int(bad[0][0]), int(bad[0][1]))
-        cert = {"realization": box.upper.copy(), "entry": (i, j)}
+    entry = _upper_positive_offdiag(box)
+    if entry is not None:
+        cert = {"realization": box.upper.copy(), "entry": entry}
         return _finish("m", False, "definition:lower-M-and-upper-Z", cert, t0,
                        notes=("upper bound has a positive off-diagonal entry",))
     if pc.is_M(box.lower):
@@ -365,48 +414,34 @@ def strong_h(box: IntervalMatrix, config: CheckConfig | None = None) -> Property
                    notes=("box comparison matrix is not an M-matrix",))
 
 
-def _definiteness_vertices(box: IntervalMatrix, config: CheckConfig,
-                           semidefinite: bool):
+def _strong_definite(prop: str, box: IntervalMatrix, config: CheckConfig | None,
+                     semidefinite: bool) -> PropertyVerdict:
     """Shared sign-vertex sweep for strong PD / strong PSD."""
+    config = _cfg(config)
+    t0 = time.perf_counter()
     n = box.n
-    if n > config.cap_sign_vertex and not config.override_caps:
-        raise DimensionCapError(
-            f"dimension {n} exceeds sign-vertex cap {config.cap_sign_vertex}"
-        )
+    _check_cap(n, config.cap_sign_vertex, "sign-vertex", config)
     mid_s = symmetric_part(box.midpoint)
     rad_s = symmetric_part(box.radius)
     test = is_positive_semidefinite if semidefinite else is_positive_definite
     for s in sign_vectors(n, half=True):
         vertex_sym = mid_s - np.outer(s, s) * rad_s
         if not test(vertex_sym):
-            realization = signed_vertex(box, s, s)
             lam = float(np.min(np.linalg.eigvalsh(vertex_sym)))
-            return s, realization, lam
-    return None
+            cert = {"s": s, "realization": signed_vertex(box, s, s),
+                    "min_eigenvalue": lam}
+            return _finish(prop, False, "general:sign-vertex-definiteness", cert, t0)
+    return _finish(prop, True, "general:sign-vertex-definiteness", None, t0)
 
 
 def strong_pd(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong positive definiteness: every sign-vertex realization is PD."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
-    hit = _definiteness_vertices(box, config, semidefinite=False)
-    if hit is None:
-        return _finish("pd", True, "general:sign-vertex-definiteness", None, t0)
-    s, realization, lam = hit
-    cert = {"s": s, "realization": realization, "min_eigenvalue": lam}
-    return _finish("pd", False, "general:sign-vertex-definiteness", cert, t0)
+    return _strong_definite("pd", box, config, semidefinite=False)
 
 
 def strong_psd(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong positive semidefiniteness: every sign-vertex realization is PSD."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
-    hit = _definiteness_vertices(box, config, semidefinite=True)
-    if hit is None:
-        return _finish("psd", True, "general:sign-vertex-definiteness", None, t0)
-    s, realization, lam = hit
-    cert = {"s": s, "realization": realization, "min_eigenvalue": lam}
-    return _finish("psd", False, "general:sign-vertex-definiteness", cert, t0)
+    return _strong_definite("psd", box, config, semidefinite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,57 +449,56 @@ def strong_psd(box: IntervalMatrix, config: CheckConfig | None = None) -> Proper
 # ---------------------------------------------------------------------------
 
 
+def _lower_symmetric(box: IntervalMatrix) -> np.ndarray:
+    return symmetric_part(box.midpoint) - symmetric_part(box.radius)
+
+
+def _copositive_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
+    value, x = pc.copositive_minimum(_lower_symmetric(box), cap=config.cap_point,
+                                     override_cap=config.override_caps)
+    return {"realization": box.lower.copy(), "x": x, "value": value}
+
+
+def _copositive_midpoint_m(box, config, notes, strict):
+    """Symmetrized midpoint an M-matrix: the symmetrized lower bound must
+    be an M-matrix (strict) or an M0-matrix."""
+    mid_s = symmetric_part(box.midpoint)
+    if not pc.is_M(mid_s):
+        return None
+    lower_s = mid_s - symmetric_part(box.radius)
+    ok = pc.is_M(lower_s) if strict else pc.is_M0(lower_s)
+    return ok, "fast:midpoint-M", None if ok else _copositive_false_cert(box, config), False
+
+
+def _copositive_general(box, config, notes, strict):
+    lower_s = _lower_symmetric(box)
+    value, x = pc.copositive_minimum(lower_s, cap=config.cap_point,
+                                     override_cap=config.override_caps)
+    slack = 1e-9 * float(np.max(np.abs(lower_s), initial=0.0))
+    holds = value > slack if strict else value >= -slack
+    if holds:
+        cert = {"minimum": value, "x": x}
+    else:
+        cert = {"realization": box.lower.copy(), "x": x, "value": value}
+    return holds, "general:lower-bound-copositivity", cert
+
+
+_COPOSITIVE_FAST = {
+    strict: (partial(_identity_fast, strict=strict,
+                     false_cert=_copositive_false_cert, quadratic=True),
+             partial(_copositive_midpoint_m, strict=strict))
+    for strict in (False, True)
+}
+
+
 def strong_copositive(box: IntervalMatrix, strict: bool = False,
                       config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong (strict) copositivity: equivalent to (strict) copositivity of
     the lower bound. Quadratic-form classes see only symmetric parts, so
     the fast paths run on the symmetrized midpoint and radius."""
-    config = _cfg(config)
     prop = "strictly-copositive" if strict else "copositive"
-    t0 = time.perf_counter()
-    mid_s = symmetric_part(box.midpoint)
-    rad_s = symmetric_part(box.radius)
-    lower_s = mid_s - rad_s
-    notes: list[str] = []
-
-    if config.fast_paths != "off":
-        if _is_identity(mid_s):
-            rho = spectral_radius_nonneg(rad_s).rho
-            holds, boundary = _rho_threshold(rho, strict, config.rho_tol)
-            cert = None
-            if not holds:
-                value, x = pc.copositive_minimum(lower_s, cap=config.cap_point,
-                                                 override_cap=config.override_caps)
-                cert = {"realization": box.lower.copy(), "x": x, "value": value,
-                        "rho": rho}
-            else:
-                cert = {"rho": rho}
-            return _finish(prop, holds, "fast:identity-spectral-radius", cert,
-                           t0, boundary=boundary)
-        if pc.is_M(mid_s):
-            ok = pc.is_M(lower_s) if strict else pc.is_M0(lower_s)
-            cert = None
-            if not ok:
-                value, x = pc.copositive_minimum(lower_s, cap=config.cap_point,
-                                                 override_cap=config.override_caps)
-                cert = {"realization": box.lower.copy(), "x": x, "value": value}
-            return _finish(prop, ok, "fast:midpoint-M", cert, t0)
-        if config.fast_paths == "only":
-            raise FastPathUnavailableError(
-                f"no fast path applies to strong {prop} for this box"
-            )
-
-    value, x = pc.copositive_minimum(lower_s, cap=config.cap_point,
-                                     override_cap=config.override_caps)
-    slack = 1e-9 * float(np.max(np.abs(lower_s), initial=0.0))
-    holds = value > slack if strict else value >= -slack
-    cert: dict | None
-    if holds:
-        cert = {"minimum": value, "x": x}
-    else:
-        cert = {"realization": box.lower.copy(), "x": x, "value": value}
-    return _finish(prop, holds, "general:lower-bound-copositivity", cert, t0,
-                   notes=notes)
+    return _decide(prop, box, config, _COPOSITIVE_FAST[strict],
+                   partial(_copositive_general, strict=strict))
 
 
 # ---------------------------------------------------------------------------
@@ -472,57 +506,47 @@ def strong_copositive(box: IntervalMatrix, strict: bool = False,
 # ---------------------------------------------------------------------------
 
 
+def _semimonotone_cert(box: IntervalMatrix, config: CheckConfig,
+                       override_cap: bool = True) -> dict | None:
+    """The lower bound's first semimonotonicity witness (I, x), or None."""
+    witness = pc.semimonotone_witness(box.lower, cap=config.cap_point,
+                                      override_cap=override_cap)
+    if witness is None:
+        return None
+    I, x = witness
+    return {"realization": box.lower.copy(), "I": I, "x": x}
+
+
+def _semimonotone_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
+    return _fast_failure_cert(box, config.cap_point,
+                              lambda: _semimonotone_cert(box, config))
+
+
+def _semimonotone_midpoint_m0(box, config, notes):
+    if not pc.is_M0(box.midpoint):
+        return None
+    ok = pc.is_M0(box.lower)
+    return ok, "fast:midpoint-M0", None if ok else _semimonotone_false_cert(box, config), False
+
+
+def _semimonotone_general(box, config, notes):
+    cert = _semimonotone_cert(box, config, config.override_caps)
+    return cert is None, "general:lower-bound-systems", cert
+
+
+_SEMIMONOTONE_FAST = (
+    partial(_identity_fast, strict=False, false_cert=_semimonotone_false_cert),
+    _semimonotone_midpoint_m0,
+)
+
+
 def strong_semimonotone(box: IntervalMatrix,
                         config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong semimonotonicity: equivalent to semimonotonicity of the lower
     bound; decided by a spectral threshold when the midpoint is the
     identity, or through the M0 route when the midpoint is an M0-matrix."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
-    mid, lower = box.midpoint, box.lower
-
-    if config.fast_paths != "off":
-        if _is_identity(mid):
-            rho = spectral_radius_nonneg(box.radius).rho
-            holds, boundary = _rho_threshold(rho, False, config.rho_tol)
-            cert = {"rho": rho}
-            if not holds:
-                cert = _semimonotone_false_cert(box, config)
-                cert["rho"] = rho
-            return _finish("semimonotone", holds, "fast:identity-spectral-radius",
-                           cert, t0, boundary=boundary)
-        if pc.is_M0(mid):
-            ok = pc.is_M0(lower)
-            cert = None
-            if not ok:
-                cert = _semimonotone_false_cert(box, config)
-            return _finish("semimonotone", ok, "fast:midpoint-M0", cert, t0)
-        if config.fast_paths == "only":
-            raise FastPathUnavailableError(
-                "no fast path applies to strong semimonotonicity for this box"
-            )
-
-    witness = pc.semimonotone_witness(lower, cap=config.cap_point,
-                                      override_cap=config.override_caps)
-    if witness is None:
-        return _finish("semimonotone", True, "general:lower-bound-systems",
-                       None, t0)
-    I, x = witness
-    cert = {"realization": lower.copy(), "I": I, "x": x}
-    return _finish("semimonotone", False, "general:lower-bound-systems", cert, t0)
-
-
-def _semimonotone_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    """Definitional witness on the lower bound for a fast-path failure."""
-    cert: dict = {"realization": box.lower.copy()}
-    if box.n <= config.cap_point:
-        witness = pc.semimonotone_witness(box.lower, cap=config.cap_point,
-                                          override_cap=True)
-        if witness is not None:
-            cert["I"], cert["x"] = witness
-        else:
-            cert["note"] = "witness extraction failed at tolerance boundary"
-    return cert
+    return _decide("semimonotone", box, config, _SEMIMONOTONE_FAST,
+                   _semimonotone_general)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +632,35 @@ def _bisect_singular_block(box: IntervalMatrix, y: np.ndarray, z: np.ndarray,
     return box.midpoint - hi_t * step
 
 
+def _support_failure(box: IntervalMatrix, support: tuple[int, ...],
+                     ambient_mid: float) -> dict | None:
+    """Where the ``support`` principal minor first loses the midpoint's
+    nonzero sign over the box: None when it never does, ``{}`` when the
+    midpoint minor is already zero, else y, z, the vertex determinant and
+    a singular realization from the sign-vertex sweep."""
+    n = box.n
+    idx = list(support)
+    s_mid = minor_sign(box.midpoint, support, ambient_mid)
+    if s_mid == 0:
+        return {}
+    # Realization entries outside the support stay at the midpoint; their
+    # magnitude is the classification floor for the block determinants.
+    outside = np.ones((n, n), dtype=bool)
+    outside[np.ix_(idx, idx)] = False
+    floor = float(np.max(np.abs(box.midpoint[outside]), initial=0.0))
+    hit = _vertex_sign_sweep(box.midpoint[np.ix_(idx, idx)],
+                             box.radius[np.ix_(idx, idx)], s_mid, floor)
+    if hit is None:
+        return None
+    y_sub, z_sub, d_vertex = hit
+    y = np.zeros(n)
+    z = np.zeros(n)
+    y[idx] = y_sub
+    z[idx] = z_sub
+    return {"y": y, "z": z, "vertex_determinant": d_vertex,
+            "realization": _bisect_singular_block(box, y, z, support)}
+
+
 def strong_nonsingular(box: IntervalMatrix,
                        config: CheckConfig | None = None) -> PropertyVerdict:
     """Every realization nonsingular: det(mid) * det(mid - D_y rad D_z) > 0
@@ -615,136 +668,42 @@ def strong_nonsingular(box: IntervalMatrix,
     config = _cfg(config)
     t0 = time.perf_counter()
     n = box.n
-    if n > config.cap_sign_vertex and not config.override_caps:
-        raise DimensionCapError(
-            f"dimension {n} exceeds sign-vertex cap {config.cap_sign_vertex}"
-        )
-    full = tuple(range(n))
-    mid_sign = minor_sign(box.midpoint, full,
-                          float(np.max(np.abs(box.midpoint))))
-    d_mid = determinant(box.midpoint)
-    notes: list[str] = []
-    raw = float(np.linalg.det(box.midpoint))
-    if mid_sign == 0 and raw != 0.0:
+    _check_cap(n, config.cap_sign_vertex, "sign-vertex", config)
+    method = "general:sign-vertex-determinants"
+    fail = _support_failure(box, tuple(range(n)),
+                            float(np.max(np.abs(box.midpoint))))
+    if fail is None:
+        return _finish("nonsingular", True, method, None, t0)
+    if fail:
+        cert = {**fail, "vertex": signed_vertex(box, fail["y"], fail["z"]),
+                "midpoint_determinant": determinant(box.midpoint)}
+        return _finish("nonsingular", False, method, cert, t0)
+    notes = []
+    if float(np.linalg.det(box.midpoint)) != 0.0:
         notes.append("tolerance-marginal: midpoint determinant classified zero")
-    if mid_sign == 0:
-        cert = {"realization": box.midpoint.copy(),
-                "midpoint_determinant": 0.0}
-        return _finish("nonsingular", False, "general:sign-vertex-determinants",
-                       cert, t0, notes=notes)
-    hit = _vertex_sign_sweep(box.midpoint, box.radius, mid_sign, 0.0)
-    if hit is None:
-        return _finish("nonsingular", True, "general:sign-vertex-determinants",
-                       None, t0, notes=notes)
-    y, z, d_vertex = hit
-    realization = _bisect_singular_block(box, y, z, tuple(range(n)))
-    cert = {"y": y, "z": z, "vertex": signed_vertex(box, y, z),
-            "midpoint_determinant": d_mid, "vertex_determinant": d_vertex,
-            "realization": realization}
-    return _finish("nonsingular", False, "general:sign-vertex-determinants",
-                   cert, t0, notes=notes)
+    cert = {"realization": box.midpoint.copy(), "midpoint_determinant": 0.0}
+    return _finish("nonsingular", False, method, cert, t0, notes=notes)
 
 
-def _nondegenerate_general(box: IntervalMatrix, config: CheckConfig, t0,
-                           method: str, notes: tuple[str, ...] = ()):
+def _nondegenerate_general(box, config, notes):
     """Support-by-support sign-vertex determinant test (the 5^n route)."""
     n = box.n
-    if n > config.cap_nondegenerate and not config.override_caps:
-        raise DimensionCapError(
-            f"dimension {n} exceeds nondegeneracy cap {config.cap_nondegenerate}"
-        )
+    _check_cap(n, config.cap_nondegenerate, "nondegeneracy", config)
+    method = "general:support-sign-determinants"
     ambient_mid = float(np.max(np.abs(box.midpoint)))
     for support in nonempty_subsets(n):
-        idx = list(support)
-        mid_sub = box.midpoint[np.ix_(idx, idx)]
-        rad_sub = box.radius[np.ix_(idx, idx)]
-        s_mid = minor_sign(box.midpoint, support, ambient_mid)
-        if s_mid == 0:
-            cert = {"support": support, "realization": box.midpoint.copy()}
-            return _finish("principally-nondegenerate", False, method, cert, t0,
-                           notes=notes + ("midpoint principal minor is zero",))
-        # Realization entries outside the support stay at the midpoint; their
-        # magnitude is the classification floor for the block determinants.
-        outside = np.ones((n, n), dtype=bool)
-        outside[np.ix_(idx, idx)] = False
-        floor = float(np.max(np.abs(box.midpoint[outside]), initial=0.0))
-        hit = _vertex_sign_sweep(mid_sub, rad_sub, s_mid, floor)
-        if hit is not None:
-            y_sub, z_sub, d_vertex = hit
-            y = np.zeros(n)
-            z = np.zeros(n)
-            y[idx] = y_sub
-            z[idx] = z_sub
-            realization = _bisect_singular_block(box, y, z, support)
-            cert = {"support": support, "y": y, "z": z,
-                    "vertex_determinant": d_vertex,
-                    "realization": realization}
-            return _finish("principally-nondegenerate", False, method, cert, t0,
-                           notes=notes)
-    return _finish("principally-nondegenerate", True, method, None, t0,
-                   notes=notes)
-
-
-def strong_principally_nondegenerate(box: IntervalMatrix,
-                                     config: CheckConfig | None = None
-                                     ) -> PropertyVerdict:
-    """Every realization has all principal minors nonzero.
-
-    Fast paths: a sign scaling D_y mid D_z that is an M-matrix reduces the
-    check to the scaled lower bound being an M-matrix; an exact identity
-    midpoint reduces to rho(radius) < 1; a positive definite midpoint on a
-    symmetric box reduces to strong positive definiteness. Otherwise the
-    general support/sign-vertex enumeration runs.
-    """
-    config = _cfg(config)
-    t0 = time.perf_counter()
-    n = box.n
-    mid, rad = box.midpoint, box.radius
-    notes: list[str] = []
-
-    if config.fast_paths != "off":
-        if _is_identity(mid):
-            rho = spectral_radius_nonneg(rad).rho
-            holds, boundary = _rho_threshold(rho, True, config.rho_tol)
-            cert = {"rho": rho}
-            if not holds:
-                cert = _nondegenerate_fast_false_cert(box, config)
-                cert["rho"] = rho
-            return _finish("principally-nondegenerate", holds,
-                           "fast:identity-spectral-radius", cert, t0,
-                           boundary=boundary)
-        scaling = sign_scaling_to_z_two_sided(mid)
-        if scaling is not None:
-            y, z = scaling
-            mid_scaled = np.outer(y, z) * mid
-            if pc.is_M(mid_scaled):
-                ok = pc.is_M(mid_scaled - rad)
-                method = ("fast:midpoint-M" if np.all(y == 1) and np.all(z == 1)
-                          else "fast:sign-scaled-midpoint-M")
-                cert = None
-                if not ok:
-                    cert = _nondegenerate_fast_false_cert(box, config, y, z)
-                return _finish("principally-nondegenerate", ok, method, cert, t0)
-        if _is_symmetric_box(box) and is_positive_definite(box.midpoint):
-            sub = strong_pd(box, config)
-            cert = None
-            if not sub.holds:
-                cert = _nondegenerate_pd_false_cert(box, sub)
-            return _finish("principally-nondegenerate", sub.holds,
-                           "fast:midpoint-PD-via-strong-PD", cert, t0)
-        if config.fast_paths == "only":
-            raise FastPathUnavailableError(
-                "no fast path applies to strong principal nondegeneracy"
-            )
-
-    return _nondegenerate_general(box, config, t0,
-                                  "general:support-sign-determinants",
-                                  tuple(notes))
+        fail = _support_failure(box, support, ambient_mid)
+        if fail is None:
+            continue
+        if not fail:
+            notes.append("midpoint principal minor is zero")
+            fail = {"realization": box.midpoint.copy()}
+        return False, method, {"support": support, **fail}
+    return True, method, None
 
 
 def _nondegenerate_fast_false_cert(box: IntervalMatrix, config: CheckConfig,
-                                   y: np.ndarray | None = None,
-                                   z: np.ndarray | None = None) -> dict:
+                                   y=None, z=None) -> dict:
     """Singular-realization certificate for an M-scaled fast-path failure.
 
     In the scaled frame the midpoint is an M-matrix (leading minors
@@ -753,10 +712,8 @@ def _nondegenerate_fast_false_cert(box: IntervalMatrix, config: CheckConfig,
     towards the lower bound; bisection finds the singular realization.
     """
     n = box.n
-    if y is None:
-        y = np.ones(n)
-    if z is None:
-        z = np.ones(n)
+    y = np.ones(n) if y is None else y
+    z = np.ones(n) if z is None else z
     mid_scaled = np.outer(y, z) * box.midpoint
     lower_scaled = mid_scaled - box.radius
     scale = float(np.max(np.abs(lower_scaled)))
@@ -766,8 +723,7 @@ def _nondegenerate_fast_false_cert(box: IntervalMatrix, config: CheckConfig,
             realization = _bisect_singular_block(box, y, z, support)
             return {"support": support, "y": y, "z": z,
                     "realization": realization}
-    return {"realization": box.lower.copy(),
-            "note": "witness extraction failed at tolerance boundary"}
+    return _unwitnessed(box)
 
 
 def _nondegenerate_pd_false_cert(box: IntervalMatrix,
@@ -795,6 +751,54 @@ def _nondegenerate_pd_false_cert(box: IntervalMatrix,
             "min_eigenvalue": lam_min(hi_t)}
 
 
+def _nondegenerate_midpoint_m(box, config, notes):
+    """A sign scaling D_y mid D_z that is an M-matrix: every realization
+    is nondegenerate iff the scaled lower bound is an M-matrix."""
+    scaling = sign_scaling_to_z_two_sided(box.midpoint)
+    if scaling is None:
+        return None
+    y, z = scaling
+    mid_scaled = np.outer(y, z) * box.midpoint
+    if not pc.is_M(mid_scaled):
+        return None
+    ok = pc.is_M(mid_scaled - box.radius)
+    method = ("fast:midpoint-M" if np.all(y == 1) and np.all(z == 1)
+              else "fast:sign-scaled-midpoint-M")
+    cert = None if ok else _nondegenerate_fast_false_cert(box, config, y, z)
+    return ok, method, cert, False
+
+
+def _nondegenerate_midpoint_pd(box, config, notes):
+    """A positive definite midpoint on a symmetric box: strong PD."""
+    if not (_is_symmetric_box(box) and is_positive_definite(box.midpoint)):
+        return None
+    sub = strong_pd(box, config)
+    cert = None if sub.holds else _nondegenerate_pd_false_cert(box, sub)
+    return sub.holds, "fast:midpoint-PD-via-strong-PD", cert, False
+
+
+_NONDEGENERATE_FAST = (
+    partial(_identity_fast, strict=True, false_cert=_nondegenerate_fast_false_cert),
+    _nondegenerate_midpoint_m,
+    _nondegenerate_midpoint_pd,
+)
+
+
+def strong_principally_nondegenerate(box: IntervalMatrix,
+                                     config: CheckConfig | None = None
+                                     ) -> PropertyVerdict:
+    """Every realization has all principal minors nonzero.
+
+    Fast paths: a sign scaling D_y mid D_z that is an M-matrix reduces the
+    check to the scaled lower bound being an M-matrix; an exact identity
+    midpoint reduces to rho(radius) < 1; a positive definite midpoint on a
+    symmetric box reduces to strong positive definiteness. Otherwise the
+    general support/sign-vertex enumeration runs.
+    """
+    return _decide("principally-nondegenerate", box, config,
+                   _NONDEGENERATE_FAST, _nondegenerate_general)
+
+
 # ---------------------------------------------------------------------------
 # Column sufficiency
 # ---------------------------------------------------------------------------
@@ -810,107 +814,6 @@ def _strong_cs_block(box: IntervalMatrix, I, J) -> np.ndarray:
         block[:k, k:] = -up[:k, k:]
         block[k:, :k] = -up[k:, :k]
     return block
-
-
-def _cs_vertex_for_pair(box: IntervalMatrix, I, J) -> np.ndarray:
-    """The sign-vertex realization whose (I, J) blocks reproduce the strong
-    column-sufficiency system matrix."""
-    s = np.ones(box.n)
-    for j in J:
-        s[j] = -1.0
-    return signed_vertex(box, s, s)
-
-
-def strong_column_sufficient(box: IntervalMatrix,
-                             config: CheckConfig | None = None,
-                             route: str = "systems") -> PropertyVerdict:
-    """Strong column sufficiency.
-
-    General routes: ``"systems"`` tests the signed lower/upper block system
-    per disjoint index pair; ``"vertices"`` tests column sufficiency of
-    every sign-vertex realization mid - D_s rad D_s (the two are
-    equivalent and cross-validated in the test suite). Fast paths: sign
-    scaling of the midpoint to an M-matrix with an irreducible radius, an
-    exact identity midpoint with an irreducible radius, or a positive
-    semidefinite midpoint on a symmetric box.
-    """
-    config = _cfg(config)
-    if route not in ("systems", "vertices"):
-        raise ValueError("route must be 'systems' or 'vertices'")
-    t0 = time.perf_counter()
-    n = box.n
-    mid, rad = box.midpoint, box.radius
-    notes: list[str] = []
-
-    if config.fast_paths != "off":
-        radius_irreducible = is_irreducible(rad)
-        if _is_identity(mid):
-            if radius_irreducible:
-                rho = spectral_radius_nonneg(rad).rho
-                holds, boundary = _rho_threshold(rho, False, config.rho_tol)
-                cert = {"rho": rho}
-                if not holds:
-                    cert = _cs_fast_false_cert(box, config)
-                    cert["rho"] = rho
-                return _finish("column-sufficient", holds,
-                               "fast:identity-spectral-radius", cert, t0,
-                               boundary=boundary)
-            notes.append("fast-path midpoint-M inapplicable: radius reducible")
-        else:
-            s = sign_scaling_to_z(mid)
-            if s is not None and pc.is_M(np.outer(s, s) * mid):
-                if radius_irreducible:
-                    mid_scaled = np.outer(s, s) * mid
-                    ok = pc.is_M0(mid_scaled - rad)
-                    method = ("fast:midpoint-M" if np.all(s == 1)
-                              else "fast:sign-scaled-midpoint-M")
-                    cert = None
-                    if not ok:
-                        cert = _cs_fast_false_cert(box, config)
-                    return _finish("column-sufficient", ok, method, cert, t0,
-                                   notes=tuple(notes))
-                notes.append("fast-path midpoint-M inapplicable: radius reducible")
-        if _is_symmetric_box(box) and is_positive_semidefinite(box.midpoint):
-            sub = strong_psd(box, config)
-            cert = None
-            if not sub.holds:
-                cert = _cs_fast_false_cert(box, config)
-                cert["s"] = sub.certificate["s"]
-            return _finish("column-sufficient", sub.holds,
-                           "fast:midpoint-PSD-via-strong-PSD", cert, t0,
-                           notes=tuple(notes))
-        if config.fast_paths == "only":
-            raise FastPathUnavailableError(
-                "no fast path applies to strong column sufficiency"
-            )
-
-    if route == "vertices":
-        if n > config.cap_sign_vertex and not config.override_caps:
-            raise DimensionCapError(
-                f"dimension {n} exceeds sign-vertex cap {config.cap_sign_vertex}"
-            )
-        for s in sign_vectors(n, half=True):
-            vertex = signed_vertex(box, s, s)
-            witness = pc.column_sufficiency_witness(vertex, cap=config.cap_point,
-                                                    override_cap=config.override_caps)
-            if witness is not None:
-                I, J, x, row = witness
-                cert = {"I": I, "J": J, "x": x, "strict_row": row,
-                        "s": s, "realization": vertex}
-                return _finish("column-sufficient", False,
-                               "general:sign-vertex-enumeration", cert, t0,
-                               notes=tuple(notes))
-        return _finish("column-sufficient", True,
-                       "general:sign-vertex-enumeration", None, t0,
-                       notes=tuple(notes))
-
-    if n > config.cap_index_pairs and not config.override_caps:
-        raise DimensionCapError(
-            f"dimension {n} exceeds index-pair cap {config.cap_index_pairs}"
-        )
-    cert = _cs_witness(box)
-    return _finish("column-sufficient", cert is None,
-                   "general:signed-block-systems", cert, t0, notes=tuple(notes))
 
 
 def _cs_witness(box: IntervalMatrix) -> dict | None:
@@ -929,17 +832,66 @@ def _cs_witness(box: IntervalMatrix) -> dict | None:
             if not res.feasible:
                 continue
             x, row = res.witness, res.strict_row
+        # The sign vertex whose (I, J) blocks are the system matrix.
+        s = np.ones(box.n)
+        s[list(J)] = -1.0
         return {"I": I, "J": J, "x": x, "strict_row": row,
-                "realization": _cs_vertex_for_pair(box, I, J)}
+                "realization": signed_vertex(box, s, s)}
     return None
 
 
 def _cs_fast_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    """Certificate for a fast-path column-sufficiency failure: the
-    :func:`_cs_witness` certificate when the pairs are within their cap."""
-    cert = _cs_witness(box) if box.n <= config.cap_index_pairs else None
-    return cert or {"realization": box.lower.copy(),
-                    "note": "witness extraction failed at tolerance boundary"}
+    return _fast_failure_cert(box, config.cap_index_pairs, lambda: _cs_witness(box))
+
+
+def _cs_midpoint_m(box, config, notes):
+    """A midpoint that a sign scaling D_s mid D_s turns into an M-matrix
+    (the identity included), with an irreducible radius: the identity is
+    decided by rho(radius) <= 1, any other by the scaled lower bound being
+    an M0-matrix."""
+    mid = box.midpoint
+    s = sign_scaling_to_z(mid)
+    if s is None or not pc.is_M(np.outer(s, s) * mid):
+        return None
+    if not is_irreducible(box.radius):
+        notes.append("fast-path midpoint-M inapplicable: radius reducible")
+        return None
+    if _is_identity(mid):
+        return _rho_verdict(box, box.radius, False, config, _cs_fast_false_cert)
+    ok = pc.is_M0(np.outer(s, s) * mid - box.radius)
+    method = "fast:midpoint-M" if np.all(s == 1) else "fast:sign-scaled-midpoint-M"
+    return ok, method, None if ok else _cs_fast_false_cert(box, config), False
+
+
+def _cs_midpoint_psd(box, config, notes):
+    """A positive semidefinite midpoint on a symmetric box: strong PSD."""
+    if not (_is_symmetric_box(box) and is_positive_semidefinite(box.midpoint)):
+        return None
+    sub = strong_psd(box, config)
+    cert = None
+    if not sub.holds:
+        cert = _cs_fast_false_cert(box, config)
+        cert["s"] = sub.certificate["s"]
+    return sub.holds, "fast:midpoint-PSD-via-strong-PSD", cert, False
+
+
+def _cs_general(box, config, notes):
+    _check_cap(box.n, config.cap_index_pairs, "index-pair", config)
+    cert = _cs_witness(box)
+    return cert is None, "general:signed-block-systems", cert
+
+
+def strong_column_sufficient(box: IntervalMatrix,
+                             config: CheckConfig | None = None) -> PropertyVerdict:
+    """Strong column sufficiency.
+
+    General route: the signed lower/upper block system per disjoint index
+    pair. Fast paths: sign scaling of the midpoint to an M-matrix with an
+    irreducible radius (for an exact identity midpoint, a spectral-radius
+    threshold), or a positive semidefinite midpoint on a symmetric box.
+    """
+    return _decide("column-sufficient", box, config,
+                   (_cs_midpoint_m, _cs_midpoint_psd), _cs_general)
 
 
 # ---------------------------------------------------------------------------
@@ -964,104 +916,12 @@ def _cancel_row_residual(A: np.ndarray, box: IntervalMatrix, i: int,
             return
 
 
-def _r0_realization(box: IntervalMatrix, I, x: np.ndarray) -> np.ndarray:
-    """A realization A in the box with A_II x = 0, A_JI x >= 0 for the
-    given witness: rows in I interpolate between the bounds to hit zero
-    (with the rounding residue cancelled against an entry that has
-    interval slack), rows outside I take the lower bound, other columns
-    the midpoint."""
-    n = box.n
-    idx = list(I)
-    A = box.midpoint.copy()
-    A[:, idx] = box.lower[:, idx]
-    for i in idx:
-        low = float(box.lower[i, idx] @ x)
-        high = float(box.upper[i, idx] @ x)
-        if high == low:
-            lam = 0.0
-        else:
-            lam = high / (high - low)
-        lam = min(1.0, max(0.0, lam))
-        A[i, idx] = lam * box.lower[i, idx] + (1.0 - lam) * box.upper[i, idx]
-        _cancel_row_residual(A, box, i, idx, x, 0.0)
-    return A
-
-
-def _strong_r0_system(box: IntervalMatrix, I, J) -> LinearSystem:
-    idx = list(I)
-    rows = [box.lower[np.ix_(idx, idx)], box.upper[np.ix_(idx, idx)]]
-    rels = [LE] * len(idx) + [GE] * len(idx)
-    if J:
-        rows.append(box.lower[np.ix_(J, idx)])
-        rels += [GE] * len(J)
-    coeffs = np.vstack(rows)
-    norm = float(np.max(np.abs(coeffs)))
-    if norm > 0.0:
-        coeffs = coeffs / norm  # homogeneous system, unit-scale it
-    return LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]),
-                        (1.0,) * len(idx))
-
-
-def strong_r0(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
-    """Strong R0: for every index set, no x > 0 with lower_II x <= 0,
-    upper_II x >= 0 and lower_JI x >= 0. Fast paths: identity midpoint
-    (rho(radius) < 1) and M-matrix midpoint (reduces to strong H)."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
-    n = box.n
-    mid = box.midpoint
-
-    if config.fast_paths != "off":
-        if _is_identity(mid):
-            rho = spectral_radius_nonneg(box.radius).rho
-            holds, boundary = _rho_threshold(rho, True, config.rho_tol)
-            cert = {"rho": rho}
-            if not holds:
-                cert = _r0_false_cert_general(box, config)
-                cert["rho"] = rho
-            return _finish("r0", holds, "fast:identity-spectral-radius", cert,
-                           t0, boundary=boundary)
-        if pc.is_M(mid):
-            sub = strong_h(box, config)
-            cert = None
-            if not sub.holds:
-                cert = _r0_false_cert_general(box, config)
-            return _finish("r0", sub.holds, "fast:midpoint-M-via-strong-H",
-                           cert, t0)
-        if config.fast_paths == "only":
-            raise FastPathUnavailableError(
-                "no fast path applies to strong R0 for this box"
-            )
-
-    if n > config.cap_index_pairs and not config.override_caps:
-        raise DimensionCapError(
-            f"dimension {n} exceeds index-set cap {config.cap_index_pairs}"
-        )
-    for I in nonempty_subsets(n):
-        J = [j for j in range(n) if j not in I]
-        res = solve_feasibility(_strong_r0_system(box, I, J))
-        if res.feasible:
-            x = res.witness
-            cert = {"I": I, "x": x, "realization": _r0_realization(box, I, x)}
-            return _finish("r0", False, "general:index-systems", cert, t0)
-    return _finish("r0", True, "general:index-systems", None, t0)
-
-
-def _r0_false_cert_general(box: IntervalMatrix, config: CheckConfig) -> dict:
-    if box.n <= config.cap_index_pairs:
-        for I in nonempty_subsets(box.n):
-            J = [j for j in range(box.n) if j not in I]
-            res = solve_feasibility(_strong_r0_system(box, I, J))
-            if res.feasible:
-                return {"I": I, "x": res.witness,
-                        "realization": _r0_realization(box, I, res.witness)}
-    return {"realization": box.lower.copy(),
-            "note": "witness extraction failed at tolerance boundary"}
-
-
 def _r_realization(box: IntervalMatrix, I, x: np.ndarray, t: float) -> np.ndarray:
-    """A realization with A_II x + e t = 0 and A_JI x + e t >= 0."""
-    n = box.n
+    """A realization A in the box with A_II x + e t = 0 and
+    A_JI x + e t >= 0 for the given witness (t = 0 for R0): rows in I
+    interpolate between the bounds to hit zero (with the rounding residue
+    cancelled against an entry that has interval slack), rows outside I
+    take the lower bound, other columns the midpoint."""
     idx = list(I)
     A = box.midpoint.copy()
     A[:, idx] = box.lower[:, idx]
@@ -1078,7 +938,11 @@ def _r_realization(box: IntervalMatrix, I, x: np.ndarray, t: float) -> np.ndarra
     return A
 
 
-def _strong_r_system(box: IntervalMatrix, I, J) -> tuple[LinearSystem, float]:
+def _index_system(box: IntervalMatrix, I, J,
+                  with_t: bool) -> tuple[LinearSystem, float]:
+    """x >= e with lower_II x + e t <= 0, upper_II x + e t >= 0 and
+    lower_JI x + e t >= 0, the x columns scaled by their max |entry|, which
+    is returned too. Without ``with_t`` the t column is left out (R0)."""
     idx = list(I)
     k = len(idx)
     blocks = [box.lower[np.ix_(idx, idx)], box.upper[np.ix_(idx, idx)]]
@@ -1087,74 +951,75 @@ def _strong_r_system(box: IntervalMatrix, I, J) -> tuple[LinearSystem, float]:
         blocks.append(box.lower[np.ix_(J, idx)])
         rels += [GE] * len(J)
     stacked = np.vstack(blocks)
-    norm = float(np.max(np.abs(stacked)))
-    norm = norm if norm > 0.0 else 1.0
-    coeffs = np.hstack([stacked / norm, np.ones((stacked.shape[0], 1))])
-    system = LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]),
-                          (1.0,) * k + (0.0,))
-    return system, norm
+    norm = float(np.max(np.abs(stacked))) or 1.0
+    coeffs = stacked / norm  # homogeneous in x, unit-scale it
+    bounds = (1.0,) * k
+    if with_t:
+        coeffs = np.hstack([coeffs, np.ones((coeffs.shape[0], 1))])
+        bounds += (0.0,)
+    return LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]), bounds), norm
+
+
+def _index_witness(box: IntervalMatrix, with_t: bool) -> dict | None:
+    """The first index set I whose strong R (``with_t``) or R0 system is
+    feasible, as a certificate (I, x, t for R, and a realization), or None
+    when every system is infeasible."""
+    n = box.n
+    for I in nonempty_subsets(n):
+        J = [j for j in range(n) if j not in I]
+        system, norm = _index_system(box, I, J, with_t)
+        res = solve_feasibility(system)
+        if res.feasible:
+            x = res.witness[: len(I)]
+            if not with_t:
+                return {"I": I, "x": x, "realization": _r_realization(box, I, x, 0.0)}
+            t_val = float(res.witness[len(I)]) * norm
+            return {"I": I, "x": x, "t": t_val,
+                    "realization": _r_realization(box, I, x, t_val)}
+    return None
+
+
+def _index_false_cert(box: IntervalMatrix, config: CheckConfig, with_t: bool) -> dict:
+    return _fast_failure_cert(box, config.cap_index_pairs,
+                              lambda: _index_witness(box, with_t))
+
+
+def _index_midpoint_m(box, config, notes, with_t):
+    """An M-matrix midpoint: strong R0 and strong R reduce to strong H."""
+    if not pc.is_M(box.midpoint):
+        return None
+    sub = strong_h(box, config)
+    cert = None if sub.holds else _index_false_cert(box, config, with_t)
+    return sub.holds, "fast:midpoint-M-via-strong-H", cert, False
+
+
+def _index_general(box, config, notes, with_t):
+    _check_cap(box.n, config.cap_index_pairs, "index-set", config)
+    cert = _index_witness(box, with_t)
+    return cert is None, "general:index-systems", cert
+
+
+_INDEX_FAST = {
+    with_t: (partial(_identity_fast, strict=True,
+                     false_cert=partial(_index_false_cert, with_t=with_t)),
+             partial(_index_midpoint_m, with_t=with_t))
+    for with_t in (False, True)
+}
+
+
+def strong_r0(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
+    """Strong R0: for every index set, no x > 0 with lower_II x <= 0,
+    upper_II x >= 0 and lower_JI x >= 0. Fast paths: identity midpoint
+    (rho(radius) < 1) and M-matrix midpoint (reduces to strong H)."""
+    return _decide("r0", box, config, _INDEX_FAST[False],
+                   partial(_index_general, with_t=False))
 
 
 def strong_r(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong R: same index-set sweep as strong R0 with the extra scalar
     t >= 0 entering every row. Fast paths as for strong R0."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
-    n = box.n
-    mid = box.midpoint
-
-    if config.fast_paths != "off":
-        if _is_identity(mid):
-            rho = spectral_radius_nonneg(box.radius).rho
-            holds, boundary = _rho_threshold(rho, True, config.rho_tol)
-            cert = {"rho": rho}
-            if not holds:
-                cert = _r_false_cert_general(box, config)
-                cert["rho"] = rho
-            return _finish("r", holds, "fast:identity-spectral-radius", cert,
-                           t0, boundary=boundary)
-        if pc.is_M(mid):
-            sub = strong_h(box, config)
-            cert = None
-            if not sub.holds:
-                cert = _r_false_cert_general(box, config)
-            return _finish("r", sub.holds, "fast:midpoint-M-via-strong-H",
-                           cert, t0)
-        if config.fast_paths == "only":
-            raise FastPathUnavailableError(
-                "no fast path applies to strong R for this box"
-            )
-
-    if n > config.cap_index_pairs and not config.override_caps:
-        raise DimensionCapError(
-            f"dimension {n} exceeds index-set cap {config.cap_index_pairs}"
-        )
-    for I in nonempty_subsets(n):
-        J = [j for j in range(n) if j not in I]
-        system, norm = _strong_r_system(box, I, J)
-        res = solve_feasibility(system)
-        if res.feasible:
-            x = res.witness[: len(I)]
-            t_val = float(res.witness[len(I)]) * norm
-            cert = {"I": I, "x": x, "t": t_val,
-                    "realization": _r_realization(box, I, x, t_val)}
-            return _finish("r", False, "general:index-systems", cert, t0)
-    return _finish("r", True, "general:index-systems", None, t0)
-
-
-def _r_false_cert_general(box: IntervalMatrix, config: CheckConfig) -> dict:
-    if box.n <= config.cap_index_pairs:
-        for I in nonempty_subsets(box.n):
-            J = [j for j in range(box.n) if j not in I]
-            system, norm = _strong_r_system(box, I, J)
-            res = solve_feasibility(system)
-            if res.feasible:
-                x = res.witness[: len(I)]
-                t_val = float(res.witness[len(I)]) * norm
-                return {"I": I, "x": x, "t": t_val,
-                        "realization": _r_realization(box, I, x, t_val)}
-    return {"realization": box.lower.copy(),
-            "note": "witness extraction failed at tolerance boundary"}
+    return _decide("r", box, config, _INDEX_FAST[True],
+                   partial(_index_general, with_t=True))
 
 
 # ---------------------------------------------------------------------------
@@ -1178,24 +1043,6 @@ _DISPATCH = {
     "r": strong_r,
 }
 
-# Point-level predicate used to re-verify a "realization" certificate.
-_POINT_FOR_STRONG = {
-    "s": "s",
-    "z": "z",
-    "m": "m",
-    "h": "h",
-    "pd": "pd",
-    "psd": "psd",
-    "copositive": "copositive",
-    "strictly-copositive": "strictly-copositive",
-    "semimonotone": "semimonotone",
-    "nonsingular": None,  # handled by determinant sign below
-    "principally-nondegenerate": "principally-nondegenerate",
-    "column-sufficient": "column-sufficient",
-    "r0": "r0",
-    "r": "r",
-}
-
 
 def check_property(box: IntervalMatrix, prop: str,
                    config: CheckConfig | None = None) -> PropertyVerdict:
@@ -1217,17 +1064,17 @@ def verify_certificate(box: IntervalMatrix, verdict: PropertyVerdict,
                        config: CheckConfig | None = None) -> bool:
     """Re-verify a negative verdict's certificate.
 
-    Checks that any attached realization lies in the box and, for
+    Checks that the certificate's realization lies in the box and, for
     dimensions within ``config.verify_cap``, that the point property
-    indeed fails for it. Positive verdicts verify trivially.
+    indeed fails for it. Positive verdicts verify trivially; a negative
+    verdict without a certificate or without a realization does not.
     """
     config = _cfg(config)
-    if verdict.holds or verdict.certificate is None:
-        return verdict.holds or verdict.certificate is None
-    cert = verdict.certificate
-    A = cert.get("realization")
+    if verdict.holds:
+        return True
+    A = (verdict.certificate or {}).get("realization")
     if A is None:
-        return True  # theory-level evidence only; nothing to re-check
+        return False
     A = np.asarray(A, dtype=float)
     slack = 1e-9 * max(1.0, float(np.max(np.abs(box.upper))),
                        float(np.max(np.abs(box.lower))))
@@ -1235,10 +1082,7 @@ def verify_certificate(box: IntervalMatrix, verdict: PropertyVerdict,
         return False
     if box.n > config.verify_cap:
         return True
-    token = _POINT_FOR_STRONG[verdict.property]
-    if token is None:
-        return not pc.is_nonsingular(A)
-    return not pc.point_check(A, token)
+    return not pc.point_check(A, verdict.property)
 
 
 def check_all(box: IntervalMatrix, properties=None,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import lcpbox as lb
+from lcpbox.intervals import sign_vectors, signed_vertex
+from lcpbox.pointclasses import column_sufficiency_witness
 
 # The four properties tracked throughout the worked examples.
 TRACKED = ("semimonotone", "column-sufficient", "r", "r0")
@@ -45,3 +47,14 @@ def random_box(rng, n, entry_scale=2.0, radius_scale=1.0):
     mid = rng.uniform(-entry_scale, entry_scale, (n, n))
     rad = rng.uniform(0.0, radius_scale, (n, n))
     return lb.from_midpoint_radius(mid, rad)
+
+
+def cs_sign_vertex_counterexample(box):
+    """Reference route for strong column sufficiency: the box is strongly
+    column sufficient iff every sign-vertex realization mid - D_s rad D_s
+    is column sufficient. Returns the first vertex that is not, or None."""
+    for s in sign_vectors(box.n, half=True):
+        vertex = signed_vertex(box, s, s)
+        if column_sufficiency_witness(vertex) is not None:
+            return vertex
+    return None

@@ -14,7 +14,7 @@ import lcpbox as lb
 from lcpbox.oracle import falsify
 from lcpbox.pointclasses import column_sufficiency_witness, is_nonsingular
 from lcpbox.strong import ALL_STRONG_PROPERTIES, CheckConfig
-from conftest import TRACKED
+from conftest import TRACKED, cs_sign_vertex_counterexample
 
 GENERAL = CheckConfig(fast_paths="off")
 
@@ -177,9 +177,9 @@ def test_criterion_7_column_sufficiency_route_equivalence():
         mid = rng.uniform(-2, 2, (n, n))
         rad = rng.uniform(0, 1, (n, n))
         box = lb.from_midpoint_radius(mid, rad)
-        via_systems = lb.strong_column_sufficient(box, GENERAL, route="systems")
-        via_vertices = lb.strong_column_sufficient(box, GENERAL, route="vertices")
-        if via_systems.holds != via_vertices.holds:
+        via_systems = lb.strong_column_sufficient(box, GENERAL)
+        via_vertices = cs_sign_vertex_counterexample(box) is None
+        if via_systems.holds != via_vertices:
             disagreements.append((n, mid.tolist()))
     ok = not disagreements
     _announce(7, ok, f"200 boxes, signed-system route vs sign-vertex route, "

@@ -5,12 +5,15 @@ import pytest
 
 import lcpbox as lb
 from lcpbox.linalg import (
+    _minor_threshold,
+    _perron_root_irreducible,
     batch_det_signs,
     batch_minor_signs,
     det_sign,
     minor_sign,
     symmetric_part,
 )
+from lcpbox.tolerances import POWER_MAX_ITER, POWER_TOL
 
 
 def cofactor_det(M):
@@ -73,6 +76,34 @@ class TestDeterminant:
         signs = batch_det_signs(stack)
         for k in range(40):
             assert signs[k] == det_sign(stack[k])
+
+    def test_batch_det_signs_match_minor_sign(self):
+        # One zero rule: the sign sweep's kernel classifies each matrix as
+        # the scalar minor test does, at every block size and ambient scale.
+        rng = np.random.default_rng(8)
+        zeros = 0
+        for k in range(1, 8):
+            # diag(r, 1, .., x) with det r*x within an ulp or two of the
+            # threshold at reference magnitude r, where numpy's vectorized
+            # ** and libm's pow can disagree in the last bit.
+            r = np.repeat(rng.uniform(1.0, 3.0, 200), 3)
+            x = np.array([_minor_threshold(v, k) / v for v in r])
+            x[0::3] = np.nextafter(x[0::3], 0.0)
+            x[2::3] = np.nextafter(x[2::3], 1.0)
+            near = np.tile(np.eye(k), (len(r), 1, 1))
+            near[:, 0, 0] = r
+            near[:, -1, -1] *= x
+            for stack in (rng.uniform(-2, 2, (40, k, k)),
+                          rng.integers(-1, 2, (80, k, k)).astype(float), near):
+                above = 2.0 * float(np.max(np.abs(stack)))
+                for scale in (0.0, above):
+                    batch = batch_det_signs(stack, scale).tolist()
+                    scalar = [minor_sign(M, range(k), scale) for M in stack]
+                    assert batch == scalar, (k, scale)
+                    zeros += scalar.count(0)
+                assert batch_det_signs(stack).tolist() == \
+                    batch_det_signs(stack, 0.0).tolist()
+        assert zeros > 0
 
     def test_minor_sign_matches_det_sign(self):
         rng = np.random.default_rng(3)
@@ -154,10 +185,11 @@ class TestSpectralRadius:
             N = rng.uniform(0, 3, (4, 4))
             res = lb.spectral_radius_nonneg(N)
             assert res.converged
-            block = list(getattr(res, "_block"))
-            v = getattr(res, "_vector")
-            sub = N[np.ix_(block, block)]
-            resid = float(np.max(np.abs(sub @ v - res.rho * v)))
+            # A positive matrix is irreducible: one block, the whole matrix.
+            rho, v, _, converged = _perron_root_irreducible(
+                N, POWER_TOL, POWER_MAX_ITER)
+            assert converged and rho == res.rho
+            resid = float(np.max(np.abs(N @ v - rho * v)))
             assert resid <= 1e-8 * max(1.0, float(np.max(np.abs(N))))
 
     def test_rejects_negative_entries(self):

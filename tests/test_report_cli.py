@@ -241,6 +241,19 @@ class TestCli:
         )
         assert code == 0 and "no-counterexample" in text
 
+    def test_falsify_takes_every_point_property_token(self, capsys):
+        tokens = [p.value for p in lb.PointProperty]
+        assert len(tokens) == 16
+        assert set(lb.ALL_STRONG_PROPERTIES) | {"m0", "p"} == set(tokens)
+        for token in tokens:
+            code, _ = self.run("falsify", "--file", str(DATA / "box3_15pct.json"),
+                               "--property", token, "--budget", "4")
+            assert code in (0, 1), token
+        code, _ = self.run("falsify", "--file", str(DATA / "box3_15pct.json"),
+                           "--property", "bogus")
+        assert code == 2
+        assert "unknown property token 'bogus'" in capsys.readouterr().err
+
     def test_lcp_subcommand(self, tmp_path):
         path = write_json(tmp_path, "m.json", {"n": 2, "matrix": [[1, 0], [0, 1]]})
         code, text = self.run("lcp", "--file", path, "--q=-1,-1",
@@ -350,3 +363,17 @@ class TestCli:
         with pytest.raises(lb.CertificateVerificationError):
             lb.check_property(parse_matrix_file(DATA / "box3_15pct.json"),
                               "column-sufficient")
+
+    def test_negative_verdict_without_realization_exit_three(self, monkeypatch,
+                                                             capsys):
+        import lcpbox.strong as strong
+
+        def bare(box, config=None):
+            return strong.PropertyVerdict("r0", False, "general:index-systems",
+                                          {"I": (0,)}, 0.0)
+
+        monkeypatch.setitem(strong._DISPATCH, "r0", bare)
+        code, _ = self.run("check", "--file", str(DATA / "box3_10pct.json"),
+                           "--properties", "r0")
+        assert code == 3
+        assert "failed re-verification" in capsys.readouterr().err

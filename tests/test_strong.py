@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,13 @@ from lcpbox.strong import (
     sign_scaling_to_z,
     sign_scaling_to_z_two_sided,
 )
-from conftest import TRACKED, random_box
+from conftest import TRACKED, cs_sign_vertex_counterexample, random_box
 
 GENERAL = CheckConfig(fast_paths="off")
+
+FAST_PATH_PROPERTIES = ("copositive", "strictly-copositive", "semimonotone",
+                        "principally-nondegenerate", "column-sufficient",
+                        "r0", "r")
 
 POINT_EQUIV = {
     "s": lb.is_S,
@@ -174,6 +180,57 @@ class TestSignScalings:
         assert sign_scaling_to_z_two_sided(np.array([[0.0, 1.0], [1.0, 1.0]])) is None
 
 
+def _brute_scalable(M, two_sided):
+    """Whether some sign vectors scale M to a Z-matrix (two-sided: with a
+    positive diagonal), by trying all of them; the same tolerance as the
+    parity search."""
+    n = M.shape[0]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(M))))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    if two_sided:  # scaled[a, b] = D_{y_a} M D_{z_b}
+        scaled = signs[:, None, :, None] * signs[None, :, None, :] * M
+    else:  # scaled[a] = D_{s_a} M D_{s_a}
+        scaled = signs[:, :, None] * signs[:, None, :] * M
+    off = np.where(np.eye(n, dtype=bool), -np.inf, scaled)
+    ok = np.all(off <= tol, axis=(-2, -1))
+    if two_sided:
+        ok &= np.all(np.diagonal(scaled, axis1=-2, axis2=-1) > tol, axis=-1)
+    return bool(np.any(ok))
+
+
+def _valid_scaling(M, y, z, two_sided):
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(M))))
+    scaled = np.outer(y, z) * M
+    off = scaled - np.diag(np.diag(scaled))
+    return (set(np.concatenate([y, z]).tolist()) <= {-1.0, 1.0}
+            and bool(np.all(off <= tol))
+            and (not two_sided or bool(np.all(np.diag(scaled) > tol))))
+
+
+class TestParitySearch:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(9)
+        found = {False: 0, True: 0}
+        for n in range(1, 7):
+            for _ in range(60):
+                pattern = rng.choice([-1.0, 0.0, 1.0], (n, n),
+                                     p=[0.2, 0.6, 0.2])
+                M = pattern * rng.uniform(0.5, 2.0, (n, n))
+                if rng.random() < 0.5:
+                    np.fill_diagonal(M, rng.choice([-1.0, 1.0], n))
+                s = sign_scaling_to_z(M)
+                assert (s is not None) == _brute_scalable(M, False)
+                if s is not None:
+                    assert _valid_scaling(M, s, s, False)
+                    found[False] += 1
+                pair = sign_scaling_to_z_two_sided(M)
+                assert (pair is not None) == _brute_scalable(M, True)
+                if pair is not None:
+                    assert _valid_scaling(M, *pair, True)
+                    found[True] += 1
+        assert min(found.values()) > 20
+
+
 class TestStrongNondegenerate:
     def test_reference_box_fails_at_midpoint(self, box3_10):
         v = lb.strong_principally_nondegenerate(box3_10)
@@ -298,15 +355,14 @@ class TestStrongColumnSufficient:
         for _ in range(40):
             n = int(rng.integers(1, 4))
             box = random_box(rng, n, entry_scale=1.5, radius_scale=0.6)
-            sys_v = lb.strong_column_sufficient(box, GENERAL, route="systems")
-            ver_v = lb.strong_column_sufficient(box, GENERAL, route="vertices")
-            assert sys_v.holds == ver_v.holds
+            sys_v = lb.strong_column_sufficient(box, GENERAL)
+            assert sys_v.holds == (cs_sign_vertex_counterexample(box) is None)
 
     def test_vertex_route_certificate(self):
         box = lb.from_midpoint_radius(np.eye(2), [[1.0, 1.0], [0.0, 1.0]])
-        v = lb.strong_column_sufficient(box, GENERAL, route="vertices")
-        assert not v.holds
-        assert not lb.is_column_sufficient(v.certificate["realization"])
+        A = cs_sign_vertex_counterexample(box)
+        assert A is not None and box.contains(A)
+        assert not lb.is_column_sufficient(A)
 
 
 class TestStrongR0AndR:
@@ -394,6 +450,45 @@ class TestVerdictInfrastructure:
         general_box = lb.from_midpoint_radius([[0, -1], [2, 0]], 0.1 * np.ones((2, 2)))
         with pytest.raises(FastPathUnavailableError):
             lb.strong_semimonotone(general_box, only)
+
+    def test_fast_only_raises_without_applicable_fast_path(self):
+        only = CheckConfig(fast_paths="only")
+        # Not Z-scalable, zero diagonal, not symmetric: no fast path applies.
+        box = lb.from_midpoint_radius([[0, -1], [2, 0]], 0.1 * np.ones((2, 2)))
+        for prop in FAST_PATH_PROPERTIES:
+            with pytest.raises(FastPathUnavailableError, match=prop):
+                lb.check_property(box, prop, only)
+
+    def test_fast_paths_off_never_reports_fast_method(self):
+        n = 3
+        M = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        D = np.diag([1.0, -1.0, 1.0])
+        boxes = [
+            lb.from_midpoint_radius(np.eye(n), 0.2 * np.ones((n, n))),
+            lb.from_midpoint_radius(np.eye(n), 0.6 * np.ones((n, n))),
+            lb.from_midpoint_radius(M, 0.1 * np.ones((n, n))),
+            lb.from_midpoint_radius(-M, 0.1 * np.ones((n, n))),
+            lb.from_midpoint_radius(D @ M @ D, 0.7 * np.ones((n, n))),
+            lb.from_midpoint_radius(np.ones((n, n)) + np.eye(n),
+                                    0.05 * np.ones((n, n))),
+        ]
+        fast = set()
+        for box in boxes:
+            for prop in ALL_STRONG_PROPERTIES:
+                auto = lb.check_property(box, prop)
+                off = lb.check_property(box, prop, GENERAL)
+                assert not off.method.startswith("fast:"), (prop, off.method)
+                assert off.holds == auto.holds, prop
+                if auto.method.startswith("fast:"):
+                    fast.add(prop)
+        assert fast == set(FAST_PATH_PROPERTIES)
+
+    def test_verify_certificate_requires_a_realization(self, box3_15):
+        for cert in (None, {"I": (0, 1, 2), "x": np.ones(3)}):
+            v = lb.PropertyVerdict("r0", False, "general:index-systems", cert, 0.0)
+            assert not lb.verify_certificate(box3_15, v)
+        holds = lb.PropertyVerdict("r0", True, "general:index-systems", None, 0.0)
+        assert lb.verify_certificate(box3_15, holds)
 
     def test_fast_general_agreement_on_m_midpoint_boxes(self):
         rng = np.random.default_rng(12345)
