@@ -188,18 +188,15 @@ def nonempty_subsets(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def sign_vectors(n: int, half: bool = False) -> Iterator[np.ndarray]:
-    """All vectors in {-1,+1}^n in binary counting order (+1 first).
+    """All vectors in {-1,+1}^n in binary counting order (+1 first): vector
+    m has -1 in entry j exactly when bit n-1-j of m is set. They are the
+    rows of one array, built at once.
 
     With ``half=True`` the first entry is pinned to +1, quotienting out the
     s ~ -s symmetry.
     """
-    free = n - 1 if half else n
-    for mask in range(1 << free):
-        s = np.ones(n)
-        for b in range(free):
-            if (mask >> b) & 1:
-                s[n - 1 - b] = -1.0
-        yield s
+    masks = np.arange(1 << (n - 1 if half else n))
+    yield from 1.0 - 2.0 * ((masks[:, None] >> np.arange(n - 1, -1, -1)) & 1)
 
 
 def disjoint_index_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:

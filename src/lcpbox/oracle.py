@@ -1,18 +1,20 @@
 """Independent falsification oracle.
 
 The strong checkers certify; this module only ever refutes. It walks
-realization matrices inside a box (all entrywise-endpoint vertices when
-their count fits the budget, otherwise sampled vertices plus uniform
-interior points) and tests the point-level property on each. A reported
-counterexample is always a concrete matrix inside the box whose failure
-the point deciders confirm; absence of a counterexample proves nothing.
+realization matrices inside a box and tests the point-level property on
+each. A reported counterexample is always a concrete matrix inside the box
+whose failure the point deciders confirm; absence of a counterexample
+proves nothing.
 
-Exhaustive walks decide the vertices in batches: the determinant-only
-properties (nondegeneracy, P, nonsingularity) over the whole vertex stack
-with the batched principal-minor kernel, R0 with LPs only on vertices
-that have a singular block or a near-zero diagonal entry. Both classify
-exactly as the point deciders do, so the first counterexample in mask
-order is the one a vertex-by-vertex walk finds.
+There is one walk, in chunks: every entrywise-endpoint vertex in mask order
+when their count fits the budget, otherwise the two bound matrices, then
+random vertices alternating with uniform interior points. Chunks start
+small and double up to a fixed number of matrix entries, so an early
+counterexample is cheap and memory does not grow with n. Up to the point
+enumeration cap each chunk is decided at once where a batched decider
+exists (the determinant-only properties; R0, with LPs only where a block
+is singular or a diagonal entry near zero). Those classify exactly as the
+point deciders do, so the result is that of a one-at-a-time walk.
 
 The module also hosts the brute-force point deciders used to cross-check
 the main point-class implementations at small dimension: LP-system
@@ -31,6 +33,7 @@ from . import pointclasses as pc
 from .intervals import IntervalMatrix, nonempty_subsets
 from .linalg import batch_minor_signs, symmetric_part
 from .lp import LinearSystem
+from .tolerances import CAP_POINT_ENUM
 
 __all__ = [
     "OracleOutcome",
@@ -54,13 +57,21 @@ class OracleOutcome:
         return self.verdict == "counterexample-found"
 
 
-def _point_predicate(prop: str):
-    token = pc.PointProperty.from_token(prop)
-    return lambda A: pc.point_check(A, token)
+# Matrix entries per chunk: _FIRST_ENTRIES, doubling up to _CHUNK_ENTRIES
+# (64 KB to 0.5 MB per float64 array), so an early counterexample is cheap
+# and memory is bounded at any n.
+_FIRST_ENTRIES = 1 << 13
+_CHUNK_ENTRIES = 1 << 16
 
 
-# Vertices decided per batch in exhaustive mode; bounds the stack's memory.
-_CHUNK = 4096
+def _spans(start: int, stop: int, n: int):
+    """Consecutive ranges ``(a, b)`` of walk positions covering
+    ``start..stop-1``, sized as above for n x n realizations."""
+    size, largest = _FIRST_ENTRIES // (n * n), _CHUNK_ENTRIES // (n * n)
+    while start < stop:
+        end = min(start + max(1, min(size, largest)), stop)
+        yield start, end
+        start, size = end, 2 * size
 
 
 def _vertex_stack(box: IntervalMatrix, start: int, stop: int) -> np.ndarray:
@@ -73,7 +84,7 @@ def _vertex_stack(box: IntervalMatrix, start: int, stop: int) -> np.ndarray:
 
 
 def _minor_failures(stack: np.ndarray, token: str) -> np.ndarray:
-    """Vertices failing a determinant-only property, decided per support
+    """Matrices failing a determinant-only property, decided per support
     with the same classification the point deciders use."""
     n = stack.shape[-1]
     supports = [tuple(range(n))] if token == "nonsingular" else nonempty_subsets(n)
@@ -85,7 +96,7 @@ def _minor_failures(stack: np.ndarray, token: str) -> np.ndarray:
 
 
 def _r0_lp_candidates(stack: np.ndarray) -> np.ndarray:
-    """Vertices on which :func:`pointclasses.r0_witness` can find a witness.
+    """Matrices on which :func:`pointclasses.r0_witness` can find a witness.
 
     It returns one only for a diagonal entry within its zero tolerance
     (1e-12 * max|entry|) or a classified-singular block of size >= 2; it
@@ -100,86 +111,75 @@ def _r0_lp_candidates(stack: np.ndarray) -> np.ndarray:
     return maybe
 
 
-def _first_failure(stack: np.ndarray, token: str, holds) -> int | None:
-    """Index of the first matrix in ``stack`` violating the property
-    ``holds`` decides."""
-    if token in ("principally-nondegenerate", "p", "nonsingular"):
+def _first_failure(stack: np.ndarray, prop: pc.PointProperty) -> int | None:
+    """Index of the first matrix in ``stack`` violating the property. Above
+    CAP_POINT_ENUM every token goes through :func:`pointclasses.point_check`,
+    so the capped point deciders raise DimensionCapError."""
+    token, batched = prop.value, stack.shape[-1] <= CAP_POINT_ENUM
+    if batched and token in ("principally-nondegenerate", "p", "nonsingular"):
         hits = np.flatnonzero(_minor_failures(stack, token))
         return int(hits[0]) if hits.size else None
-    if token == "r0":
+    if batched and token == "r0":
         candidates = np.flatnonzero(_r0_lp_candidates(stack))
     else:
         candidates = range(len(stack))
     for v in candidates:
-        if not holds(stack[v]):
+        if not pc.point_check(stack[v], prop):
             return int(v)
     return None
+
+
+def _realization_chunks(box: IntervalMatrix, budget: int, seed: int):
+    """Chunks ``(offset, stack, kinds)`` of realizations, sized by
+    :func:`_spans`, ``offset`` being the walk position of ``stack[0]``.
+
+    All 2^(n^2) endpoint vertices in mask order when they fit the budget;
+    otherwise ``budget`` realizations: the lower and upper bounds, then
+    uniforms ``u`` of a generator seeded with ``seed``, drawn n^2 per
+    realization. Even offsets are vertices taking the upper bound where
+    ``u < 1/2``, odd offsets the interior points ``lower + (upper - lower) * u``.
+    """
+    n = box.n
+    vertices = 1 << (n * n)
+    if n * n <= 40 and vertices <= budget:
+        for start, stop in _spans(0, vertices, n):
+            stack = _vertex_stack(box, start, stop)
+            yield start, stack, ["vertex"] * len(stack)
+        return
+    bounds = np.stack([box.lower, box.upper])[:budget]
+    yield 0, bounds, ["vertex"] * len(bounds)
+    rng = np.random.default_rng(seed)
+    for start, stop in _spans(2, budget, n):
+        u = rng.random((stop - start, n, n))
+        vertex = np.arange(start, stop) % 2 == 0
+        stack = np.where(vertex[:, None, None],
+                         np.where(u < 0.5, box.upper, box.lower),
+                         box.lower + (box.upper - box.lower) * u)
+        yield start, stack, ["vertex" if v else "interior" for v in vertex]
 
 
 def falsify(box: IntervalMatrix, prop, budget: int = 1000,
             seed: int = 0) -> OracleOutcome:
     """Search the box for a realization violating the point property.
 
-    Deterministic under (budget, seed). When 2^(n^2) endpoint vertices fit
-    the budget they are enumerated exhaustively in mask order (all-lower
-    first); otherwise the bound matrices are tried first, then alternating
-    random endpoint vertices and uniform interior samples.
-
-    Exhaustive mode builds the vertices in batches. The determinant-only
-    properties (nondegeneracy, P, nonsingularity) are decided for a whole
-    batch at once, and R0 runs its LPs only on vertices with a singular
-    block or a near-zero diagonal entry, the only ones it can fail on.
-    The first counterexample and the ``samples`` count are those of the
-    one-vertex-at-a-time walk.
+    Deterministic under (budget, seed). Walks :func:`_realization_chunks`,
+    deciding each chunk with :func:`_first_failure`; ``samples`` counts the
+    realizations up to and including the first counterexample, or all of
+    them.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    token = prop.value if isinstance(prop, pc.PointProperty) else str(prop)
-    holds = _point_predicate(token)
-    n = box.n
-    bits = n * n
-    examined = 0
-
-    def outcome_for(A: np.ndarray, kind: str) -> OracleOutcome | None:
-        if not holds(A):
-            counter = {"matrix": A, "property": token, "kind": kind}
-            return OracleOutcome("counterexample-found", counter, examined)
-        return None
-
-    if bits <= 40 and (1 << bits) <= budget:
-        for start in range(0, 1 << bits, _CHUNK):
-            stack = _vertex_stack(box, start, min(start + _CHUNK, 1 << bits))
-            v = _first_failure(stack, token, holds)
-            if v is not None:
-                counter = {"matrix": stack[v].copy(), "property": token,
-                           "kind": "vertex"}
-                return OracleOutcome("counterexample-found", counter,
-                                     start + v + 1)
-        return OracleOutcome("no-counterexample-in-budget", None, 1 << bits)
-
-    rng = np.random.default_rng(seed)
-    examined += 1
-    hit = outcome_for(box.lower.copy(), "vertex")
-    if hit:
-        return hit
-    if budget >= 2:
-        examined += 1
-        hit = outcome_for(box.upper.copy(), "vertex")
-        if hit:
-            return hit
-    while examined < budget:
-        examined += 1
-        if examined % 2 == 1:
-            pick = rng.random((n, n)) < 0.5
-            A = np.where(pick, box.upper, box.lower)
-            kind = "vertex"
-        else:
-            A = rng.uniform(box.lower, box.upper)
-            kind = "interior"
-        hit = outcome_for(A, kind)
-        if hit:
-            return hit
-    return OracleOutcome("no-counterexample-in-budget", None, examined)
+    prop = pc.PointProperty.from_token(
+        prop if isinstance(prop, pc.PointProperty) else str(prop))
+    samples = 0
+    for offset, stack, kinds in _realization_chunks(box, budget, seed):
+        v = _first_failure(stack, prop)
+        if v is not None:
+            counter = {"matrix": stack[v].copy(), "property": prop.value,
+                       "kind": kinds[v]}
+            return OracleOutcome("counterexample-found", counter, offset + v + 1)
+        samples = offset + len(stack)
+    return OracleOutcome("no-counterexample-in-budget", None, samples)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -256,12 +255,13 @@ def _unwitnessed(box: IntervalMatrix) -> dict:
             "note": "witness extraction failed at tolerance boundary"}
 
 
-def _fast_failure_cert(box: IntervalMatrix, cap: int, witness) -> dict:
+def _fast_failure_cert(box: IntervalMatrix, config: CheckConfig, cap: int,
+                       witness) -> dict:
     """Certificate for a fast-path failure: the general route's witness,
-    ``witness()``, when n is within the route's cap; otherwise, or when no
-    witness comes out at the tolerance boundary, the lower bound and a
-    note."""
-    cert = witness() if box.n <= cap else None
+    ``witness()``, when n is within the route's cap or
+    ``config.override_caps`` is set; otherwise, or when no witness comes
+    out at the tolerance boundary, the lower bound and a note."""
+    cert = witness() if box.n <= cap or config.override_caps else None
     return cert or _unwitnessed(box)
 
 
@@ -454,9 +454,10 @@ def _lower_symmetric(box: IntervalMatrix) -> np.ndarray:
 
 
 def _copositive_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    value, x = pc.copositive_minimum(_lower_symmetric(box), cap=config.cap_point,
-                                     override_cap=config.override_caps)
-    return {"realization": box.lower.copy(), "x": x, "value": value}
+    def witness():
+        value, x = pc.copositive_minimum(_lower_symmetric(box), override_cap=True)
+        return {"realization": box.lower.copy(), "x": x, "value": value}
+    return _fast_failure_cert(box, config, config.cap_point, witness)
 
 
 def _copositive_midpoint_m(box, config, notes, strict):
@@ -518,7 +519,7 @@ def _semimonotone_cert(box: IntervalMatrix, config: CheckConfig,
 
 
 def _semimonotone_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    return _fast_failure_cert(box, config.cap_point,
+    return _fast_failure_cert(box, config, config.cap_point,
                               lambda: _semimonotone_cert(box, config))
 
 
@@ -574,12 +575,10 @@ def _vertex_sign_sweep(mid_sub: np.ndarray, rad_sub: np.ndarray,
     """
     k = mid_sub.shape[0]
     z_rows = np.array(list(sign_vectors(k)))
+    y_rows = z_rows[:len(z_rows) // 2]
     ys_per_call = max(1, _SWEEP_CHUNK // len(z_rows))
-    y_iter = sign_vectors(k, half=True)
-    while True:
-        ys = np.array(list(islice(y_iter, ys_per_call)))
-        if ys.size == 0:
-            return None
+    for start in range(0, len(y_rows), ys_per_call):
+        ys = y_rows[start:start + ys_per_call]
         y_rad = ys[:, :, None] * rad_sub[None, :, :]
         vertices = (mid_sub[None, None, :, :]
                     - y_rad[:, None, :, :] * z_rows[None, :, None, :]
@@ -590,6 +589,7 @@ def _vertex_sign_sweep(mid_sub: np.ndarray, rad_sub: np.ndarray,
             j = int(bad[0])
             y, z = ys[j // len(z_rows)], z_rows[j % len(z_rows)]
             return y, z, float(np.linalg.det(vertices[j]))
+    return None
 
 
 def _bisect_singular_block(box: IntervalMatrix, y: np.ndarray, z: np.ndarray,
@@ -841,7 +841,8 @@ def _cs_witness(box: IntervalMatrix) -> dict | None:
 
 
 def _cs_fast_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    return _fast_failure_cert(box, config.cap_index_pairs, lambda: _cs_witness(box))
+    return _fast_failure_cert(box, config, config.cap_index_pairs,
+                              lambda: _cs_witness(box))
 
 
 def _cs_midpoint_m(box, config, notes):
@@ -980,7 +981,7 @@ def _index_witness(box: IntervalMatrix, with_t: bool) -> dict | None:
 
 
 def _index_false_cert(box: IntervalMatrix, config: CheckConfig, with_t: bool) -> dict:
-    return _fast_failure_cert(box, config.cap_index_pairs,
+    return _fast_failure_cert(box, config, config.cap_index_pairs,
                               lambda: _index_witness(box, with_t))
 
 

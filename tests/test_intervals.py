@@ -155,6 +155,19 @@ class TestComparisonMatrix:
         assert np.all(off <= 0)
 
 
+def _per_mask_sign_vectors(n, half=False):
+    """Reference order: one vector per mask in counting order, bit b of the
+    mask setting entry n-1-b to -1; ``half`` counts over the n-1 low bits
+    only, pinning entry 0 to +1."""
+    free = n - 1 if half else n
+    for mask in range(1 << free):
+        s = np.ones(n)
+        for b in range(free):
+            if (mask >> b) & 1:
+                s[n - 1 - b] = -1.0
+        yield s
+
+
 class TestEnumerationOrder:
     def test_subsets_by_cardinality_then_lex(self):
         got = list(nonempty_subsets(3))
@@ -166,6 +179,15 @@ class TestEnumerationOrder:
         assert len(halved) == 4
         assert all(s[0] == 1.0 for s in halved)
         assert np.array_equal(halved[0], np.ones(3))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_sign_vector_rows_follow_binary_counting(self, k):
+        for half in (False, True):
+            expected = list(_per_mask_sign_vectors(k, half))
+            got = list(sign_vectors(k, half=half))
+            assert len(got) == len(expected)
+            assert all(a.dtype == float and np.array_equal(a, b)
+                       for a, b in zip(got, expected))
 
     def test_disjoint_pair_count_and_first_entries(self):
         pairs = list(disjoint_index_pairs(3))

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import lcpbox as lb
+from lcpbox import oracle
 from lcpbox.oracle import brute_copositive, falsify
-from lcpbox.pointclasses import is_nonsingular, point_check
+from lcpbox.errors import DimensionCapError
+from lcpbox.pointclasses import PointProperty, is_nonsingular, point_check
+from lcpbox.tolerances import CAP_POINT_ENUM
 from lcpbox.strong import PropertyVerdict
 from conftest import TRACKED
 
@@ -100,6 +103,123 @@ def test_exhaustive_matches_scalar_walk(prop):
             assert out.counterexample["kind"] == "vertex"
             late_hits += samples > 1
     assert late_hits >= 2
+
+
+def _scalar_sampled_walk(box, prop, budget, seed):
+    """Reference sampled walk: the lower and upper bounds, then alternating
+    random endpoint vertices and uniform interior points, each drawn from
+    the generator and decided by the point decider one at a time."""
+    rng = np.random.default_rng(seed)
+    n = box.n
+    for examined in range(1, budget + 1):
+        if examined <= 2:
+            A = (box.lower if examined == 1 else box.upper).copy()
+            kind = "vertex"
+        elif examined % 2 == 1:
+            A = np.where(rng.random((n, n)) < 0.5, box.upper, box.lower)
+            kind = "vertex"
+        else:
+            A = rng.uniform(box.lower, box.upper)
+            kind = "interior"
+        if not point_check(A, prop):
+            return examined, A, kind
+    return budget, None, None
+
+
+def _assert_same_walk(box, prop, budget, seed):
+    """Compare falsify against the reference; return the reference hit."""
+    samples, A, kind = _scalar_sampled_walk(box, prop, budget, seed)
+    out = falsify(box, prop, budget=budget, seed=seed)
+    assert out.samples == samples, (prop, budget, seed)
+    assert out.found == (A is not None), (prop, budget, seed)
+    if A is not None:
+        assert out.counterexample["matrix"].tobytes() == A.tobytes()
+        assert out.counterexample["kind"] == kind
+    return samples, kind
+
+
+TOKENS = [p.value for p in PointProperty]
+
+
+def _sampled_boxes(n):
+    """Wide random boxes and near-identity boxes at dimension n; at n = 2
+    also a box whose bounds are P-matrices while some vertices are not, so
+    the first P counterexample is often an interior point."""
+    rng = np.random.default_rng(100 + n)
+    boxes = [lb.from_midpoint_radius(rng.uniform(-2, 2, (n, n)),
+                                     rng.uniform(0, 1, (n, n))),
+             lb.from_midpoint_radius(np.eye(n) + rng.uniform(-0.5, 0.5, (n, n)),
+                                     rng.uniform(0, 0.6, (n, n)))]
+    if n == 2:
+        boxes.append(lb.from_bounds([[0.5, 0], [0, 0.5]], [[2, 1], [1, 2]]))
+    return boxes
+
+
+def _small_chunks(monkeypatch, n):
+    """Patch the chunk sizes to 1, 2, 4, 4, ... realizations of n x n."""
+    monkeypatch.setattr(oracle, "_FIRST_ENTRIES", n * n)
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 4 * n * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sampled_matches_scalar_walk(n, monkeypatch):
+    # Budgets below 2^(n^2) select the sampled walk at every n here. Each
+    # case runs again with chunks of 1, 2, 4, 4, ... realizations, so that
+    # chunk boundaries fall at offsets 2, 3, 5 and 9.
+    interior_hits = 0
+    for box in _sampled_boxes(n):
+        for prop in TOKENS:
+            for budget in (1, 2, 3, 10, 11):
+                for seed in (0, 1):
+                    samples, kind = _assert_same_walk(box, prop, budget, seed)
+                    with monkeypatch.context() as m:
+                        _small_chunks(m, n)
+                        _assert_same_walk(box, prop, budget, seed)
+                    interior_hits += kind == "interior" and samples > 3
+    if n == 2:
+        assert interior_hits >= 1
+
+
+def test_sampled_walk_crosses_chunk_boundaries():
+    # At n = 4 the random draws come in chunks of 512, 1024 and 2048
+    # realizations, then the rest; a budget 3 past the largest chunk's size
+    # crosses three boundaries. On this box z, nonsingularity, nondegeneracy
+    # and R0 hold at every realization, so their walks run to the end of
+    # the budget.
+    n = 4
+    budget = oracle._CHUNK_ENTRIES // (n * n) + 3
+    box = lb.from_midpoint_radius(-np.eye(n) - 0.3 * (np.ones((n, n)) - np.eye(n)),
+                                  0.2 * np.ones((n, n)))
+    full = [prop for prop in TOKENS
+            if _assert_same_walk(box, prop, budget, 0)[0] == budget]
+    assert set(full) >= {"z", "nonsingular", "principally-nondegenerate", "r0"}
+
+
+def test_chunks_bounded_by_entries_at_larger_n(monkeypatch):
+    # With chunks limited to 3 realizations at n = 8, every chunk stays
+    # within the limit and the walk still matches the one-at-a-time
+    # reference, for the batched tokens and a scalar one.
+    n, budget = 8, 40
+    monkeypatch.setattr(oracle, "_FIRST_ENTRIES", n * n)
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 3 * n * n)
+    rng = np.random.default_rng(8)
+    box = lb.from_midpoint_radius(np.eye(n) + rng.uniform(-0.1, 0.1, (n, n)),
+                                  rng.uniform(0, 0.15, (n, n)))
+    sizes = [len(stack) for _, stack, _ in
+             oracle._realization_chunks(box, budget, 0)]
+    assert sum(sizes) == budget and max(sizes) == 3
+    for prop in ("p", "principally-nondegenerate", "nonsingular", "r0", "z"):
+        _assert_same_walk(box, prop, budget, 0)
+
+
+@pytest.mark.parametrize("prop", ["p", "principally-nondegenerate", "r0"])
+def test_point_cap_applies_to_batched_tokens(prop):
+    # Above CAP_POINT_ENUM the point deciders of these tokens raise, and
+    # the falsifier with them, before any realization is decided.
+    n = CAP_POINT_ENUM + 1
+    box = lb.from_midpoint_radius(np.eye(n), 0.01 * np.ones((n, n)))
+    with pytest.raises(DimensionCapError):
+        falsify(box, prop, budget=3, seed=0)
 
 
 class TestCrossValidate:

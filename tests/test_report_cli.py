@@ -224,6 +224,29 @@ class TestCli:
                            "--properties", "column-sufficient")
         assert code == 3
 
+    @pytest.mark.parametrize("prop", ["p", "principally-nondegenerate", "r0"])
+    def test_falsify_above_point_cap_exit_three(self, tmp_path, prop):
+        path = write_json(tmp_path, "big.json", {
+            "n": 17, "midpoint": np.eye(17).tolist(),
+            "radius": (0.01 * np.ones((17, 17))).tolist(),
+        })
+        code, _ = self.run("falsify", "--file", path, "--property", prop)
+        assert code == 3
+
+    def test_copositive_fast_failure_within_lowered_caps(self, tmp_path):
+        path = write_json(tmp_path, "id4.json", {
+            "n": 4, "midpoint": np.eye(4).tolist(),
+            "radius": (0.4 * np.ones((4, 4))).tolist(),
+        })
+        code, text = self.run("check", "--file", path, "--cap", "3",
+                              "--properties", "copositive,strictly-copositive")
+        assert code == 1
+        for prop in ("copositive", "strictly-copositive"):
+            line = next(l for l in text.splitlines()
+                        if l.split()[:2] == ["strong", prop])
+            assert line.split()[2:] == ["FAILS", "via",
+                                        "fast:identity-spectral-radius"]
+
     def test_unknown_property_exit_two(self):
         code, _ = self.run("check", "--file", str(DATA / "box3_10pct.json"),
                            "--properties", "nonsense")

@@ -56,3 +56,26 @@ def test_verdicts_invariant_across_twelve_decades():
         base = [check(A) for check in POINT_CHECKS]
         for lam in (1e-9, 1e-4, 1e5):
             assert [check(lam * A) for check in POINT_CHECKS] == base
+
+
+def test_strong_verdicts_invariant_under_permutation_and_scaling():
+    # The benchmark workloads permute their boxes per seed on this
+    # assumption: P A P^T and c A (c > 0) keep every strong verdict. Every
+    # other box has a dominant diagonal and a nonpositive off-diagonal
+    # midpoint, so that each property holds on some boxes and fails on
+    # others.
+    rng = np.random.default_rng(3)
+    for k in range(60):
+        mid = rng.uniform(-2, 2, (3, 3))
+        rad = rng.uniform(0, 1, (3, 3))
+        if k % 2:
+            mid, rad = 2.5 * np.eye(3) - np.abs(mid) / 2, rad / 4
+        p = rng.permutation(3)
+        c = 10.0 ** rng.uniform(-3, 3)
+        boxes = (lb.from_midpoint_radius(mid, rad),
+                 lb.from_midpoint_radius(mid[np.ix_(p, p)], rad[np.ix_(p, p)]),
+                 lb.from_midpoint_radius(c * mid, c * rad))
+        for prop in ALL_STRONG_PROPERTIES:
+            base, permuted, scaled = (lb.check_property(b, prop).holds
+                                      for b in boxes)
+            assert base == permuted == scaled, (prop, mid, rad, p, c)

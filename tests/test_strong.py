@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +100,32 @@ class TestStrongCopositive:
         z = lb.degenerate(np.zeros((2, 2)))
         assert lb.strong_copositive(z).holds
         assert not lb.strong_copositive(z, strict=True).holds
+
+    def test_identity_fast_failure_above_point_cap(self):
+        # The fast path decides n = 4 under a point cap of 3; its failure
+        # certificate falls back to the lower bound, which is a true
+        # counterexample because strong (strict) copositivity is (strict)
+        # copositivity of the lower bound.
+        box = lb.from_midpoint_radius(np.eye(4), 0.4 * np.ones((4, 4)))
+        config = CheckConfig().with_all_caps(3)
+        for strict in (False, True):
+            v = lb.strong_copositive(box, strict=strict, config=config)
+            assert not v.holds
+            assert v.method == "fast:identity-spectral-radius"
+            assert np.array_equal(v.certificate["realization"], box.lower)
+            assert not lb.is_copositive(box.lower, strict=strict)
+
+    def test_identity_fast_failure_override_caps_keeps_witness(self):
+        # With the caps overridden the certificate is the lower bound's
+        # copositivity minimizer, as on the general route.
+        box = lb.from_midpoint_radius(np.eye(4), 0.4 * np.ones((4, 4)))
+        config = replace(CheckConfig().with_all_caps(3), override_caps=True)
+        v = lb.strong_copositive(box, config=config)
+        assert v.method == "fast:identity-spectral-radius"
+        x, value = v.certificate["x"], v.certificate["value"]
+        assert "note" not in v.certificate and value < 0
+        assert np.isclose(x.sum(), 1.0) and np.all(x >= 0)
+        assert np.isclose(x @ box.lower @ x, value)
 
     def test_general_matches_fast_on_identity_midpoint(self):
         rng = np.random.default_rng(0)
