@@ -4,7 +4,10 @@ A property holds strongly when every realization inside the box has it.
 Each checker implements the exact finite characterization of its strong
 property, guarded by polynomially recognizable fast paths (midpoint an
 M/M0-matrix, exact identity midpoint with a spectral-radius threshold,
-positive (semi)definite midpoint). Every verdict records which code path
+positive (semi)definite midpoint, and ``strong-H-positive-diagonal``: the
+box's comparison matrix a nonsingular M-matrix and every lower diagonal
+entry positive, which makes every realization a P-matrix and decides the
+five default properties). Every verdict records which code path
 decided it; every negative verdict carries a certificate with a concrete
 realization in the box (or enough data to reconstruct one), re-verified
 against the point-level definitions before reporting.
@@ -36,6 +39,7 @@ from .intervals import (
     signed_vertex,
 )
 from .linalg import (
+    _minor_threshold,
     batch_det_signs,
     determinant,
     is_irreducible,
@@ -250,19 +254,57 @@ def _identity_fast(box: IntervalMatrix, config: CheckConfig, notes,
     return _rho_verdict(box, rad, strict, config, false_cert)
 
 
-def _unwitnessed(box: IntervalMatrix) -> dict:
-    return {"realization": box.lower.copy(),
-            "note": "witness extraction failed at tolerance boundary"}
+def _unwitnessed(box: IntervalMatrix,
+                 note: str = "witness extraction failed at tolerance boundary"
+                 ) -> dict:
+    return {"realization": box.lower.copy(), "note": note}
 
 
 def _fast_failure_cert(box: IntervalMatrix, config: CheckConfig, cap: int,
-                       witness) -> dict:
+                       what: str, witness) -> dict:
     """Certificate for a fast-path failure: the general route's witness,
-    ``witness()``, when n is within the route's cap or
+    ``witness()``, when n is within the route's ``what`` cap or
     ``config.override_caps`` is set; otherwise, or when no witness comes
-    out at the tolerance boundary, the lower bound and a note."""
-    cert = witness() if box.n <= cap or config.override_caps else None
-    return cert or _unwitnessed(box)
+    out at the tolerance boundary, the lower bound and a note that says
+    which."""
+    if box.n > cap and not config.override_caps:
+        return _unwitnessed(
+            box, f"witness skipped: dimension {box.n} exceeds {what} cap {cap}")
+    return witness() or _unwitnessed(box)
+
+
+def _strongly_p(box: IntervalMatrix, config: CheckConfig, notes,
+                minors: bool = False):
+    """Every realization a P-matrix, hence semimonotone, column sufficient,
+    R0, R and principally nondegenerate: the box's comparison matrix C is
+    a nonsingular M-matrix and every lower diagonal entry is positive, so
+    every realization is an H-matrix with a positive diagonal.
+
+    C is certified by v = C^-1 e alone: v > 0 and Cv > 1e-9 |C|v row by
+    row. With ``minors`` every principal minor must also clear the zero
+    rule: Ostrowski's bound gives det A_SS >= det C_SS >= prod_{i in S} r_i
+    with r = Cv / v for every realization A, so the product of the k
+    smallest r_i must exceed twice the k-by-k threshold at the box's
+    max|entry|. Never fails a box: when a test does not pass, the later
+    routes decide.
+    """
+    if not np.all(np.diag(box.lower) > 0.0):
+        return None
+    C = comparison_matrix(box)
+    try:
+        v = np.linalg.solve(C, np.ones(box.n))
+    except np.linalg.LinAlgError:
+        return None
+    Cv = C @ v
+    if not (np.all(v > 0.0) and np.all(Cv > 1e-9 * (np.abs(C) @ v))):
+        return None
+    if minors:
+        ref = float(max(np.max(np.abs(box.lower)), np.max(np.abs(box.upper))))
+        bound = np.cumprod(np.sort(Cv / v))
+        if any(bound[k - 1] <= 2.0 * _minor_threshold(ref, k)
+               for k in range(1, box.n + 1)):
+            return None
+    return True, "fast:strong-H-positive-diagonal", None, False
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +499,7 @@ def _copositive_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
     def witness():
         value, x = pc.copositive_minimum(_lower_symmetric(box), override_cap=True)
         return {"realization": box.lower.copy(), "x": x, "value": value}
-    return _fast_failure_cert(box, config, config.cap_point, witness)
+    return _fast_failure_cert(box, config, config.cap_point, "point", witness)
 
 
 def _copositive_midpoint_m(box, config, notes, strict):
@@ -519,7 +561,7 @@ def _semimonotone_cert(box: IntervalMatrix, config: CheckConfig,
 
 
 def _semimonotone_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    return _fast_failure_cert(box, config, config.cap_point,
+    return _fast_failure_cert(box, config, config.cap_point, "point",
                               lambda: _semimonotone_cert(box, config))
 
 
@@ -538,6 +580,7 @@ def _semimonotone_general(box, config, notes):
 _SEMIMONOTONE_FAST = (
     partial(_identity_fast, strict=False, false_cert=_semimonotone_false_cert),
     _semimonotone_midpoint_m0,
+    _strongly_p,
 )
 
 
@@ -545,7 +588,8 @@ def strong_semimonotone(box: IntervalMatrix,
                         config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong semimonotonicity: equivalent to semimonotonicity of the lower
     bound; decided by a spectral threshold when the midpoint is the
-    identity, or through the M0 route when the midpoint is an M0-matrix."""
+    identity, through the M0 route when the midpoint is an M0-matrix, or
+    by :func:`_strongly_p` on a strongly H box with a positive diagonal."""
     return _decide("semimonotone", box, config, _SEMIMONOTONE_FAST,
                    _semimonotone_general)
 
@@ -702,28 +746,34 @@ def _nondegenerate_general(box, config, notes):
     return True, method, None
 
 
-def _nondegenerate_fast_false_cert(box: IntervalMatrix, config: CheckConfig,
-                                   y=None, z=None) -> dict:
-    """Singular-realization certificate for an M-scaled fast-path failure.
+def _leading_minor_witness(box: IntervalMatrix, y: np.ndarray,
+                           z: np.ndarray) -> dict | None:
+    """Singular-realization certificate for an M-scaled fast-path failure,
+    or None when no leading minor of the scaled lower bound is classified
+    nonpositive.
 
     In the scaled frame the midpoint is an M-matrix (leading minors
     positive) while the scaled lower bound is a Z-matrix that is not an
     M-matrix, so some leading minor becomes nonpositive along the segment
     towards the lower bound; bisection finds the singular realization.
     """
-    n = box.n
-    y = np.ones(n) if y is None else y
-    z = np.ones(n) if z is None else z
-    mid_scaled = np.outer(y, z) * box.midpoint
-    lower_scaled = mid_scaled - box.radius
+    lower_scaled = np.outer(y, z) * box.midpoint - box.radius
     scale = float(np.max(np.abs(lower_scaled)))
-    for k in range(1, n + 1):
+    for k in range(1, box.n + 1):
         support = tuple(range(k))
         if minor_sign(lower_scaled, support, scale) <= 0:
             realization = _bisect_singular_block(box, y, z, support)
             return {"support": support, "y": y, "z": z,
                     "realization": realization}
-    return _unwitnessed(box)
+    return None
+
+
+def _nondegenerate_fast_false_cert(box: IntervalMatrix,
+                                   config: CheckConfig) -> dict:
+    """The identity path's failure certificate: a leading-minor witness
+    of the lower bound, else the lower bound and a note."""
+    ones = np.ones(box.n)
+    return _leading_minor_witness(box, ones, ones) or _unwitnessed(box)
 
 
 def _nondegenerate_pd_false_cert(box: IntervalMatrix,
@@ -762,9 +812,13 @@ def _nondegenerate_midpoint_m(box, config, notes):
     if not pc.is_M(mid_scaled):
         return None
     ok = pc.is_M(mid_scaled - box.radius)
+    cert = None if ok else _leading_minor_witness(box, y, z)
+    if not (ok or cert):
+        # The M test and the zero rule disagree (a row-scaled box can pass
+        # one and not the other): leave the box to the later routes.
+        return None
     method = ("fast:midpoint-M" if np.all(y == 1) and np.all(z == 1)
               else "fast:sign-scaled-midpoint-M")
-    cert = None if ok else _nondegenerate_fast_false_cert(box, config, y, z)
     return ok, method, cert, False
 
 
@@ -781,6 +835,7 @@ _NONDEGENERATE_FAST = (
     partial(_identity_fast, strict=True, false_cert=_nondegenerate_fast_false_cert),
     _nondegenerate_midpoint_m,
     _nondegenerate_midpoint_pd,
+    partial(_strongly_p, minors=True),
 )
 
 
@@ -792,8 +847,10 @@ def strong_principally_nondegenerate(box: IntervalMatrix,
     Fast paths: a sign scaling D_y mid D_z that is an M-matrix reduces the
     check to the scaled lower bound being an M-matrix; an exact identity
     midpoint reduces to rho(radius) < 1; a positive definite midpoint on a
-    symmetric box reduces to strong positive definiteness. Otherwise the
-    general support/sign-vertex enumeration runs.
+    symmetric box reduces to strong positive definiteness; a strongly H box
+    with a positive diagonal holds when :func:`_strongly_p`'s minor bound
+    clears the zero rule. Otherwise the general support/sign-vertex
+    enumeration runs.
     """
     return _decide("principally-nondegenerate", box, config,
                    _NONDEGENERATE_FAST, _nondegenerate_general)
@@ -841,7 +898,7 @@ def _cs_witness(box: IntervalMatrix) -> dict | None:
 
 
 def _cs_fast_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    return _fast_failure_cert(box, config, config.cap_index_pairs,
+    return _fast_failure_cert(box, config, config.cap_index_pairs, "index-pair",
                               lambda: _cs_witness(box))
 
 
@@ -889,10 +946,11 @@ def strong_column_sufficient(box: IntervalMatrix,
     General route: the signed lower/upper block system per disjoint index
     pair. Fast paths: sign scaling of the midpoint to an M-matrix with an
     irreducible radius (for an exact identity midpoint, a spectral-radius
-    threshold), or a positive semidefinite midpoint on a symmetric box.
+    threshold), a positive semidefinite midpoint on a symmetric box, or a
+    strongly H box with a positive diagonal (:func:`_strongly_p`).
     """
     return _decide("column-sufficient", box, config,
-                   (_cs_midpoint_m, _cs_midpoint_psd), _cs_general)
+                   (_cs_midpoint_m, _cs_midpoint_psd, _strongly_p), _cs_general)
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +1039,7 @@ def _index_witness(box: IntervalMatrix, with_t: bool) -> dict | None:
 
 
 def _index_false_cert(box: IntervalMatrix, config: CheckConfig, with_t: bool) -> dict:
-    return _fast_failure_cert(box, config, config.cap_index_pairs,
+    return _fast_failure_cert(box, config, config.cap_index_pairs, "index-set",
                               lambda: _index_witness(box, with_t))
 
 
@@ -1003,7 +1061,8 @@ def _index_general(box, config, notes, with_t):
 _INDEX_FAST = {
     with_t: (partial(_identity_fast, strict=True,
                      false_cert=partial(_index_false_cert, with_t=with_t)),
-             partial(_index_midpoint_m, with_t=with_t))
+             partial(_index_midpoint_m, with_t=with_t),
+             _strongly_p)
     for with_t in (False, True)
 }
 
@@ -1011,7 +1070,8 @@ _INDEX_FAST = {
 def strong_r0(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong R0: for every index set, no x > 0 with lower_II x <= 0,
     upper_II x >= 0 and lower_JI x >= 0. Fast paths: identity midpoint
-    (rho(radius) < 1) and M-matrix midpoint (reduces to strong H)."""
+    (rho(radius) < 1), M-matrix midpoint (reduces to strong H) and a
+    strongly H box with a positive diagonal (:func:`_strongly_p`)."""
     return _decide("r0", box, config, _INDEX_FAST[False],
                    partial(_index_general, with_t=False))
 

@@ -1,0 +1,30 @@
+"""Importing the CLI must stay cheap: it may load lcpbox and standard
+library modules on top of numpy, nothing else (a stray scipy or other
+heavy import would show up in every command's start-up time)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _top_level_modules(statement: str) -> set[str]:
+    code = (f"{statement}\n"
+            "import sys\n"
+            "print('\\n'.join(sorted({m.split('.')[0] for m in sys.modules})))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.split())
+
+
+def test_cli_imports_only_lcpbox_and_stdlib_beyond_numpy():
+    added = (_top_level_modules("import lcpbox.cli")
+             - _top_level_modules("import numpy"))
+    assert "lcpbox" in added
+    assert sorted(m for m in added
+                  if m != "lcpbox" and m not in sys.stdlib_module_names) == []

@@ -247,6 +247,44 @@ class TestCli:
             assert line.split()[2:] == ["FAILS", "via",
                                         "fast:identity-spectral-radius"]
 
+    def test_fast_failure_above_cap_says_why_no_witness(self, tmp_path):
+        path = write_json(tmp_path, "id4.json", {
+            "n": 4, "midpoint": np.eye(4).tolist(),
+            "radius": (0.4 * np.ones((4, 4))).tolist(),
+        })
+        code, text = self.run("check", "--file", path, "--cap", "3",
+                              "--format", "json", "--properties",
+                              "copositive,semimonotone,column-sufficient,r")
+        assert code == 1
+        notes = {p["property"]: p["certificate"]["note"]
+                 for p in json.loads(text)["properties"]}
+        assert notes == {
+            "copositive": "witness skipped: dimension 4 exceeds point cap 3",
+            "semimonotone": "witness skipped: dimension 4 exceeds point cap 3",
+            "column-sufficient":
+                "witness skipped: dimension 4 exceeds index-pair cap 3",
+            "r": "witness skipped: dimension 4 exceeds index-set cap 3",
+        }
+
+    def test_row_scaled_strongly_h_box_holds(self, tmp_path):
+        # Each row dominant by a factor of 1 + 1e-7, the second row about
+        # 0.006 times the first: the midpoint-M test calls the scaled lower
+        # bound no M-matrix while no leading minor is zero, so that fast
+        # path must leave the box to the general route.
+        path = write_json(tmp_path, "h2.json", {
+            "n": 2,
+            "midpoint": [[0.92542788003501419, 0.62929647976354075],
+                         [8.0169742284908765e-04, 2.6212031836654994e-03]],
+            "radius": [[0.02828948792001664, 0.2678418207442274],
+                       [0.00132142994448067, 0.00049807559954217]],
+        })
+        code, text = self.run("check", "--file", path, "--format", "json")
+        assert code == 0
+        data = json.loads(text)
+        assert [p["property"] for p in data["properties"]] == list(
+            lb.DEFAULT_CHECK_PROPERTIES)
+        assert all(p["holds"] for p in data["properties"])
+
     def test_unknown_property_exit_two(self):
         code, _ = self.run("check", "--file", str(DATA / "box3_10pct.json"),
                            "--properties", "nonsense")

@@ -12,7 +12,10 @@ from lcpbox.pointclasses import is_nonsingular
 from lcpbox.strong import (
     _SWEEP_CHUNK,
     ALL_STRONG_PROPERTIES,
+    DEFAULT_CHECK_PROPERTIES,
     CheckConfig,
+    _fast_failure_cert,
+    _strongly_p,
     _vertex_sign_sweep,
     sign_scaling_to_z,
     sign_scaling_to_z_two_sided,
@@ -546,3 +549,111 @@ class TestVerdictInfrastructure:
     def test_elapsed_recorded(self, box3_10):
         v = lb.strong_semimonotone(box3_10)
         assert v.elapsed >= 0.0
+
+
+STRONGLY_P = "fast:strong-H-positive-diagonal"
+
+
+def _strongly_h_box(rng, n, factor, row_scale=None):
+    """A box whose comparison matrix is diagonally dominant by ``factor``
+    in every row, with a positive lower diagonal. Midpoint entry (1, 2) is
+    positive and (2, 1) negative, so no sign scaling makes the midpoint a
+    Z-matrix and only the strongly-H fast path can apply. Row i is scaled
+    by ``row_scale[i]`` when given."""
+    mid = rng.uniform(-1.0, 1.0, (n, n))
+    rad = rng.uniform(0.0, 0.5, (n, n))
+    mid[0, 1] = abs(mid[0, 1]) + 0.1
+    mid[1, 0] = -abs(mid[1, 0]) - 0.1
+    reach = np.abs(mid) + rad
+    np.fill_diagonal(reach, 0.0)
+    diag_rad = rng.uniform(0.0, 0.1, n)
+    np.fill_diagonal(rad, diag_rad)
+    np.fill_diagonal(mid, diag_rad + factor * reach.sum(axis=1))
+    if row_scale is not None:
+        mid, rad = row_scale[:, None] * mid, row_scale[:, None] * rad
+    return lb.from_midpoint_radius(mid, rad)
+
+
+def _seeded_strongly_h_boxes(count, seed):
+    """n = 2..6 in turn, dominance factor 1 + 10^U(-8, 0.3) per row, and
+    every second box row-scaled by 10^U(-7, 0)."""
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for i in range(count):
+        n = 2 + i % 5
+        factor = 1.0 + 10.0 ** rng.uniform(-8.0, 0.3, n)
+        scale = 10.0 ** rng.uniform(-7.0, 0.0, n) if i % 2 else None
+        boxes.append(_strongly_h_box(rng, n, factor, scale))
+    return boxes
+
+
+class TestStronglyP:
+    def test_agrees_with_general_route(self):
+        taken = fell_through = 0
+        for box in _seeded_strongly_h_boxes(60, seed=7):
+            for prop in DEFAULT_CHECK_PROPERTIES:
+                auto = lb.check_property(box, prop)
+                off = lb.check_property(box, prop, GENERAL)
+                assert auto.holds == off.holds, (box.n, prop, auto.method)
+                taken += auto.method == STRONGLY_P
+                fell_through += (prop == "principally-nondegenerate"
+                                 and auto.method.startswith("general:"))
+        assert taken >= 200
+        assert fell_through > 0
+
+    def test_falsifier_finds_no_contradiction(self):
+        # All five at n = 2, where the falsifier walks every vertex, and
+        # nondegeneracy, the verdict that rests on the minor bound, at
+        # every n; the other point deciders are too slow for a unit test.
+        checked = 0
+        for box in _seeded_strongly_h_boxes(60, seed=11):
+            props = (DEFAULT_CHECK_PROPERTIES if box.n == 2
+                     else ("principally-nondegenerate",))
+            verdicts = [v for v in (lb.check_property(box, p) for p in props)
+                        if v.method == STRONGLY_P]
+            report = lb.cross_validate(box, verdicts, budget=256, seed=0)
+            assert all(e.status == "consistent" for e in report.entries)
+            checked += len(verdicts)
+        assert checked >= 50
+
+    @pytest.mark.parametrize("mid,rad", [
+        # a lower diagonal entry at zero
+        ([[2.0, 0.5], [-0.5, 1.0]], [[0.1, 0.1], [0.1, 1.0]]),
+        # a negative lower diagonal entry, comparison matrix M
+        ([[2.0, 0.5], [-0.5, -3.0]], [[0.1, 0.1], [0.1, 0.1]]),
+        # comparison matrix exactly singular
+        ([[1.0, 1.0], [-1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        # comparison matrix nonsingular but not an M-matrix
+        ([[1.0, 2.0], [-2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        # an M-matrix by a relative margin of about 2e-10 only
+        ([[0.92542788003501419, 0.62929647976354075],
+          [8.0169742284908765e-04, 2.6212031836654994e-03]],
+         [[0.02828948792001664, 0.2678418207442274],
+          [0.00132142994448067, 0.00049807559954217]]),
+    ])
+    def test_does_not_apply(self, mid, rad):
+        box = lb.from_midpoint_radius(mid, rad)
+        config = CheckConfig()
+        assert _strongly_p(box, config, []) is None
+        assert _strongly_p(box, config, [], minors=True) is None
+        for prop in DEFAULT_CHECK_PROPERTIES:
+            assert lb.check_property(box, prop).method != STRONGLY_P
+
+    def test_fast_only_decides_benchmark_style_boxes(self):
+        # The strongly H boxes of the general-n5to7 workload: factor 1.2-2.
+        rng = np.random.default_rng(5)
+        only = CheckConfig(fast_paths="only")
+        for n in (5, 6, 7):
+            box = _strongly_h_box(rng, n, rng.uniform(1.2, 2.0, n))
+            for v in lb.check_all(box, DEFAULT_CHECK_PROPERTIES, only):
+                assert v.holds and v.method == STRONGLY_P and v.certificate is None
+
+
+def test_fast_failure_without_witness_keeps_its_note():
+    # Within the cap, a witness route that finds nothing leaves the lower
+    # bound and the tolerance-boundary note (the note above the cap is
+    # checked through the CLI in test_report_cli.py).
+    box = lb.from_midpoint_radius(np.eye(4), 0.4 * np.ones((4, 4)))
+    cert = _fast_failure_cert(box, CheckConfig(), 16, "point", lambda: None)
+    assert cert["note"] == "witness extraction failed at tolerance boundary"
+    assert np.array_equal(cert["realization"], box.lower)
