@@ -11,28 +11,37 @@ when their count fits the budget, otherwise the two bound matrices, then
 random vertices alternating with uniform interior points. Chunks start
 small and double up to a fixed number of matrix entries, so an early
 counterexample is cheap and memory does not grow with n. Up to the point
-enumeration cap each chunk is decided at once where a batched decider
-exists (the determinant-only properties; R0, with LPs only where a block
-is singular or a diagonal entry near zero). Those classify exactly as the
-point deciders do, so the result is that of a one-at-a-time walk.
+enumeration cap each chunk is decided in batch:
 
-The module also hosts the brute-force point deciders used to cross-check
-the main point-class implementations at small dimension: LP-system
-properties are re-decided by exhaustive vertex enumeration of the encoded
-polyhedra, copositivity by a Lipschitz-certified grid sweep.
+* Nondegeneracy, P and nonsingularity by batched determinant signs, which
+  classify exactly as the point deciders do.
+* R0, R, semimonotonicity and column sufficiency by a screen that proves
+  most matrices pass and flags the rest. R0 and R flag a diagonal entry
+  near zero and a block classified singular. R also flags a nonsingular
+  block whose closed form w = A_II^-1 e comes near a witness: max w below
+  1e-9 * max|w| and max(A_JI w) at most 1 + 1e-6, looser than the point
+  decider's own test, so that a last-bit difference of the stacked solve
+  cannot hide a failure. Semimonotonicity and column sufficiency flag a
+  negative diagonal entry, and a principal (or signed) block B that
+  neither a nonnegative row nor a Gordan certificate clears: y >= 0 with
+  y^T B >= 1e-6 * max|y| * max|B| for y = e or y = B^-T e, a margin no
+  tolerance-feasible LP witness meets. Every flagged matrix is decided
+  again by the point decider, in walk order. For R, semimonotonicity and
+  column sufficiency the chunk's first matrix goes to the point decider
+  unscreened: most failing boxes fail there.
+
+Either way the result is that of a one-at-a-time walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import pointclasses as pc
-from .intervals import IntervalMatrix, nonempty_subsets
-from .linalg import batch_minor_signs, symmetric_part
-from .lp import LinearSystem
+from .intervals import IntervalMatrix, disjoint_index_pairs, nonempty_subsets
+from .linalg import batch_minor_signs
 from .tolerances import CAP_POINT_ENUM
 
 __all__ = [
@@ -41,8 +50,6 @@ __all__ = [
     "ConsistencyReport",
     "falsify",
     "cross_validate",
-    "brute_feasibility",
-    "brute_copositive",
 ]
 
 
@@ -95,32 +102,127 @@ def _minor_failures(stack: np.ndarray, token: str) -> np.ndarray:
     return bad
 
 
-def _r0_lp_candidates(stack: np.ndarray) -> np.ndarray:
-    """Matrices on which :func:`pointclasses.r0_witness` can find a witness.
+def _gordan_clears(B: np.ndarray, nonzero_row: bool) -> np.ndarray:
+    """Blocks of the stack ``B`` (V, k, k) proven free of a witness for the
+    point deciders' block systems, even within the LP tolerance: x >= 0
+    with B x < 0 (semimonotonicity) or, when ``nonzero_row``, x > 0 with
+    B x <= 0, B x != 0 (column sufficiency).
 
-    It returns one only for a diagonal entry within its zero tolerance
-    (1e-12 * max|entry|) or a classified-singular block of size >= 2; it
-    passes every other matrix without solving an LP.
+    A block is cleared by a row with no negative entry, nonzero too when
+    ``nonzero_row`` (the point deciders' own prefilters), or by a Gordan
+    certificate: y >= 0 with y^T B >= 1e-6 * max|y| * max|B| entrywise,
+    for y = e or y = B^-T e. The LP accepts a witness within 1e-8 of
+    feasible, relative to its size, so below 100 columns the margin leaves
+    it none.
     """
+    clear = np.all(B >= 0.0, axis=2)
+    if nonzero_row:
+        clear &= np.any(B > 0.0, axis=2)
+    clear = np.any(clear, axis=1)
+    margin = 1e-6 * np.max(np.abs(B), axis=(-2, -1))
+    clear |= np.all(B.sum(axis=1) >= margin[:, None], axis=1)
+    rest = np.flatnonzero(~clear)
+    if rest.size == 0:
+        return clear
+    try:
+        y = np.linalg.solve(np.swapaxes(B[rest], -1, -2),
+                            np.ones((rest.size, B.shape[-1], 1)))[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular block: no y here
+        return clear
+    yB = np.einsum("vi,vij->vj", y, B[rest])
+    bound = margin[rest] * np.max(np.abs(y), axis=1)
+    clear[rest] = (np.all(np.isfinite(y) & (y >= 0.0), axis=1)
+                   & np.all(yB >= bound[:, None], axis=1))
+    return clear
+
+
+def _r_closed_form_maybe(stack: np.ndarray, I, J) -> np.ndarray:
+    """Matrices of ``stack`` (all with a nonsingular ``I`` block) on which
+    :func:`pointclasses.r_witness`'s closed form may find a witness:
+    w = A_II^-1 e with max w < 1e-9 * max|w| and, if J is nonempty,
+    max(A_JI w) <= 1 + 1e-6, a superset of its max w < 0 and
+    max(A_JI w) <= 1 + 1e-9."""
+    idx = list(I)
+    w = np.linalg.solve(stack[:, idx][:, :, idx],
+                        np.ones((len(stack), len(idx), 1)))[..., 0]
+    maybe = np.max(w, axis=1) < 1e-9 * np.max(np.abs(w), axis=1)
+    if J:
+        AJI = stack[:, list(J)][:, :, idx]
+        maybe &= np.max(np.einsum("vij,vj->vi", AJI, w), axis=1) <= 1.0 + 1e-6
+    return maybe
+
+
+def _maybe_fails(stack: np.ndarray, token: str) -> np.ndarray:
+    """Mask of the matrices in ``stack`` that this screen cannot prove
+    satisfy ``token`` (r0, r, semimonotone or column-sufficient). Every
+    matrix the point decider rejects is in the mask.
+
+    * r0 and r: a diagonal entry within the point deciders' zero tolerance
+      (1e-12 * max|entry|; for r0 in absolute value), a block of size >= 2
+      that :func:`batch_minor_signs` classifies singular, as
+      :func:`pointclasses.minor_sign` does, or for r a nonsingular block
+      whose closed form may give a witness (:func:`_r_closed_form_maybe`).
+    * semimonotone and column-sufficient: a negative diagonal entry, or a
+      principal block (semimonotone) or signed block of a pair from
+      :func:`disjoint_index_pairs` (column-sufficient) of size >= 2 that
+      :func:`_gordan_clears` does not clear.
+    """
+    n = stack.shape[-1]
+    diag = np.diagonal(stack, axis1=-2, axis2=-1)
+    if token in ("semimonotone", "column-sufficient"):
+        maybe = np.any(diag < 0.0, axis=1)
+        pairs = (disjoint_index_pairs(n) if token == "column-sufficient"
+                 else ((I, ()) for I in nonempty_subsets(n)))
+        for I, J in pairs:
+            rest = np.flatnonzero(~maybe)
+            if rest.size == 0:
+                break
+            if len(I) + len(J) < 2:
+                continue
+            idx, k = list(I) + list(J), len(I)
+            B = stack[np.ix_(rest, idx, idx)]
+            B[:, :k, k:] *= -1.0
+            B[:, k:, :k] *= -1.0
+            maybe[rest] = ~_gordan_clears(B, token == "column-sufficient")
+        return maybe
     ztol = 1e-12 * np.max(np.abs(stack), axis=(-2, -1))
-    diag = np.abs(np.diagonal(stack, axis1=-2, axis2=-1))
-    maybe = np.any(diag <= ztol[:, None], axis=1)
-    for I in nonempty_subsets(stack.shape[-1]):
-        if len(I) >= 2:
-            maybe |= batch_minor_signs(stack, I) == 0
+    maybe = np.any((np.abs(diag) if token == "r0" else diag) <= ztol[:, None],
+                   axis=1)
+    for I in nonempty_subsets(n):
+        rest = np.flatnonzero(~maybe)
+        if rest.size == 0:
+            break
+        if len(I) < 2:
+            continue
+        singular = batch_minor_signs(stack[rest], I) == 0
+        maybe[rest[singular]] = True
+        if token == "r":
+            rest = rest[~singular]
+            J = [j for j in range(n) if j not in I]
+            maybe[rest] = _r_closed_form_maybe(stack[rest], I, J)
     return maybe
 
 
 def _first_failure(stack: np.ndarray, prop: pc.PointProperty) -> int | None:
     """Index of the first matrix in ``stack`` violating the property. Above
     CAP_POINT_ENUM every token goes through :func:`pointclasses.point_check`,
-    so the capped point deciders raise DimensionCapError."""
+    so the capped point deciders raise DimensionCapError.
+
+    For the screened tokens only the matrices :func:`_maybe_fails` flags
+    go to the point decider, in order. For r, semimonotone and
+    column-sufficient the first matrix goes there unscreened: a failing box
+    mostly fails at its first realization, the lower bound, and then the
+    rest of the chunk need not be screened. R0 seldom fails, so its whole
+    chunk is screened."""
     token, batched = prop.value, stack.shape[-1] <= CAP_POINT_ENUM
     if batched and token in ("principally-nondegenerate", "p", "nonsingular"):
         hits = np.flatnonzero(_minor_failures(stack, token))
         return int(hits[0]) if hits.size else None
-    if batched and token == "r0":
-        candidates = np.flatnonzero(_r0_lp_candidates(stack))
+    if batched and token in ("r0", "r", "semimonotone", "column-sufficient"):
+        first = 0 if token == "r0" else 1
+        if first and not pc.point_check(stack[0], prop):
+            return 0
+        candidates = first + np.flatnonzero(_maybe_fails(stack[first:], token))
     else:
         candidates = range(len(stack))
     for v in candidates:
@@ -230,84 +332,3 @@ def cross_validate(box: IntervalMatrix, verdicts, budget: int = 1000,
             )
         )
     return ConsistencyReport(tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force point deciders (test oracles, small n only)
-# ---------------------------------------------------------------------------
-
-
-def brute_feasibility(system: LinearSystem, tol: float = 1e-9) -> bool:
-    """Decide LP feasibility by exhaustive basic-point enumeration.
-
-    Every encoded polyhedron this library builds is pointed (each variable
-    carries a finite lower bound or appears split), so if it is nonempty
-    some vertex -- the intersection of dimension-many active constraint
-    hyperplanes -- is feasible. All candidate active sets are enumerated;
-    independent of the simplex engine.
-    """
-    A = system.coeffs
-    m, k = A.shape
-    planes = [(A[i], float(system.rhs[i])) for i in range(m)]
-    for j, lb in enumerate(system.lower_bounds):
-        if lb is not None:
-            e = np.zeros(k)
-            e[j] = 1.0
-            planes.append((e, float(lb)))
-    scale = 1.0 + max(float(np.max(np.abs(A), initial=0.0)),
-                      float(np.max(np.abs(system.rhs), initial=0.0)))
-    for combo in combinations(range(len(planes)), k):
-        M = np.vstack([planes[i][0] for i in combo])
-        rhs = np.array([planes[i][1] for i in combo])
-        if abs(np.linalg.det(M)) <= 1e-12 * scale**k:
-            continue
-        x = np.linalg.solve(M, rhs)
-        if system.satisfied_by(x, tol=tol):
-            return True
-    return False
-
-
-def brute_copositive(A, strict: bool = False, grid: int = 80) -> bool | None:
-    """Grid decider for copositivity on the unit simplex.
-
-    Returns True/False when the grid minimum is decisive under the
-    Lipschitz bound of the quadratic form, None when the verdict falls
-    inside the uncertainty band (caller should skip such cases). n <= 4.
-    """
-    S = symmetric_part(A)
-    n = S.shape[0]
-    if n > 4:
-        raise ValueError("brute copositivity check supports n <= 4 only")
-    pts = _simplex_grid(n, grid)
-    vals = np.einsum("ij,jk,ik->i", pts, S, pts)
-    m_hat = float(np.min(vals))
-    # |f(x)-f(y)| <= 2 ||S||_2 ||x-y||_2 on the simplex; grid covering
-    # radius is at most sqrt(2)/grid. The true minimum lies in
-    # [m_hat - lip, m_hat].
-    lip = 2.0 * float(np.linalg.norm(S, 2)) * np.sqrt(2.0) / grid
-    if strict:
-        if m_hat <= 0.0:
-            return False
-        if m_hat - lip > 0.0:
-            return True
-        return None
-    if m_hat < 0.0:
-        return False
-    if m_hat - lip >= 0.0:
-        return True
-    return None
-
-
-def _simplex_grid(n: int, grid: int) -> np.ndarray:
-    """All rational points with denominator ``grid`` on the unit simplex."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], grid, n)
-    return np.array(out, dtype=float) / grid

@@ -3,7 +3,8 @@ import pytest
 
 import lcpbox as lb
 from lcpbox.lp import EQ, GE, LE, LinearSystem, solve_feasibility
-from lcpbox.oracle import brute_feasibility
+
+from brute import brute_feasibility
 
 
 class TestSolveFeasibility:

@@ -3,11 +3,13 @@ import pytest
 
 import lcpbox as lb
 from lcpbox import oracle
-from lcpbox.oracle import brute_copositive, falsify
+from lcpbox.oracle import falsify
 from lcpbox.errors import DimensionCapError
+from lcpbox.lp import LpEngineError
 from lcpbox.pointclasses import PointProperty, is_nonsingular, point_check
 from lcpbox.tolerances import CAP_POINT_ENUM
 from lcpbox.strong import PropertyVerdict
+from brute import brute_copositive
 from conftest import TRACKED
 
 
@@ -75,9 +77,15 @@ def _scalar_vertex_walk(box, prop):
     return 1 << (n * n), None
 
 
-# Integer-valued boxes with exact-zero minors at some vertices; between them
-# each of the four properties has counterexamples past the first vertex,
-# among them R0 witnesses on singular 2x2 blocks and on a zero diagonal.
+# Between them these boxes give every property counterexamples past the
+# first vertex, and a box where it holds at every vertex (the M-matrix box
+# holds them all). The integer boxes have exact-zero minors at some
+# vertices, among them R0 witnesses on singular 2x2 blocks and on a zero
+# diagonal. Semimonotonicity is monotone in the entries, so a vertex after
+# the lower bound can fail it only within tolerance: in the last two boxes a
+# diagonal entry of -2e-12 or -3e-12 passes the zero tolerance
+# 1e-12 * max|entry| at the lower bound, where max|entry| is 5, and fails it
+# at the vertex that takes the upper bound 1 in place of -5.
 WALK_BOXES = [
     ([[1, -1, 0], [0, 1, -1], [0, 0, 1]], [[1, 0, 1], [1, 1, 0], [1, 1, 1]]),
     ([[1, -2, -2], [1, 2, 1], [0, 2, 2]], [[1, -2, -1], [1, 2, 1], [0, 3, 3]]),
@@ -85,13 +93,18 @@ WALK_BOXES = [
     ([[0, 0, -1], [-1, -2, 1], [2, -2, 1]], [[0, 0, 0], [-1, -1, 1], [3, -1, 2]]),
     ([[0, 1], [-1, 1]], [[1, 2], [1, 2]]),
     ([[1, 2], [0, 1]], [[1, 3], [1, 1]]),
+    ([[-1, -2, 2], [1, 2, 2], [-2, 1, 2]], [[0, -1, 3], [1, 3, 3], [-1, 1, 3]]),
+    ([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]], [[4, 0, 0], [0, 4, 0], [0, 0, 4]]),
+    ([[-2e-12, -5], [0, 1]], [[-2e-12, 1], [0, 1]]),
+    ([[1, 0, 0], [0, 1, 0], [0, -5, -3e-12]], [[1, 0, 0], [0, 1, 0], [0, 1, -3e-12]]),
 ]
 
 
 @pytest.mark.parametrize("prop", ["principally-nondegenerate", "p",
-                                  "nonsingular", "r0"])
+                                  "nonsingular", "r0", "r", "semimonotone",
+                                  "column-sufficient"])
 def test_exhaustive_matches_scalar_walk(prop):
-    late_hits = 0
+    late_hits = holds = 0
     for lower, upper in WALK_BOXES:
         box = lb.from_bounds(lower, upper)
         samples, A = _scalar_vertex_walk(box, prop)
@@ -102,7 +115,9 @@ def test_exhaustive_matches_scalar_walk(prop):
             assert np.array_equal(out.counterexample["matrix"], A)
             assert out.counterexample["kind"] == "vertex"
             late_hits += samples > 1
-    assert late_hits >= 2
+        else:
+            holds += 1
+    assert late_hits >= 2 and holds >= 1
 
 
 def _scalar_sampled_walk(box, prop, budget, seed):
@@ -212,7 +227,8 @@ def test_chunks_bounded_by_entries_at_larger_n(monkeypatch):
         _assert_same_walk(box, prop, budget, 0)
 
 
-@pytest.mark.parametrize("prop", ["p", "principally-nondegenerate", "r0"])
+@pytest.mark.parametrize("prop", ["p", "principally-nondegenerate", "r0", "r",
+                                  "semimonotone", "column-sufficient"])
 def test_point_cap_applies_to_batched_tokens(prop):
     # Above CAP_POINT_ENUM the point deciders of these tokens raise, and
     # the falsifier with them, before any realization is decided.
@@ -220,6 +236,109 @@ def test_point_cap_applies_to_batched_tokens(prop):
     box = lb.from_midpoint_radius(np.eye(n), 0.01 * np.ones((n, n)))
     with pytest.raises(DimensionCapError):
         falsify(box, prop, budget=3, seed=0)
+
+
+def _positive_diagonal(rng, count, n):
+    """Random matrices with a positive diagonal, so that mostly the blocks
+    planted into them sit near a boundary of the screen."""
+    A = rng.uniform(-1.0, 1.0, (count, n, n))
+    A[:, range(n), range(n)] = rng.uniform(0.5, 2.0, (count, n))
+    return A
+
+
+def _screen_stacks(n):
+    """Stacks of n x n matrices that probe :func:`oracle._maybe_fails`:
+    random at magnitudes 1e-8..1e3, integer-valued, four kinds of planted
+    near-boundary blocks, and row- and column-scaled copies."""
+    rng = np.random.default_rng(40 + n)
+    count = {2: 60, 3: 40, 4: 20, 5: 8}[n]
+    stacks = {"integer": rng.integers(-2, 3, (count, n, n)).astype(float)}
+    A = rng.uniform(-1.0, 1.0, (count, n, n))
+    A[::2] += np.eye(n) * rng.uniform(0.0, 2.0, (len(A[::2]), 1, 1))
+    stacks["random"] = A * 10.0 ** rng.uniform(-8, 3, (count, 1, 1))
+    # R: a 2x2 block [[a, -b], [-c, d]] with bc > ad, so w = A_II^-1 e < 0,
+    # and each other row fitted through one entry to A_JI w = 1 + eps, on
+    # either side of r_witness's slack 1e-9; or, with n >= 3, a 3x3 block
+    # whose rows are fitted to A_II w = e for a w with an entry near 0.
+    A = 3.0 * _positive_diagonal(rng, 4 * count, n)
+    for v in range(4 * count):
+        if v % 4 or n == 2:
+            I = rng.choice(n, 2, replace=False)
+            a, d = rng.uniform(0.2, 0.8, 2)
+            b, c = rng.uniform(1.0, 2.0, 2)
+            A[v][np.ix_(I, I)] = [[a, -b], [-c, d]]
+            w = np.linalg.solve(A[v][np.ix_(I, I)], np.ones(2))
+            rows = [(r, 1.0 + rng.choice([-1e-9, 5e-10, 1e-9, 2e-9]))
+                    for r in range(n) if r not in I]
+        else:
+            I = rng.choice(n, 3, replace=False)
+            w = -rng.uniform(0.5, 2.0, 3)
+            w[2] = rng.choice([-1e-9, -1e-12, 0.0, 1e-12])
+            rows = [(r, 1.0) for r in I]
+        for r, target in rows:
+            col = 1 if r == I[0] else 0
+            A[v, r, I[col]] += (target - A[v, r, I] @ w) / w[col]
+    stacks["r-boundary"] = A
+    # Principal blocks with a negative entry in every row and column sums
+    # near 0, relative to max|B|.
+    A = _positive_diagonal(rng, count, n)
+    for v in range(count):
+        I = np.sort(rng.choice(n, int(rng.integers(2, n + 1)), replace=False))
+        k = len(I)
+        B = -rng.uniform(0.1, 1.0, (k, k))
+        B[range(k), range(k)] = rng.uniform(0.5, 2.0, k)
+        delta = rng.choice([-1e-9, 0.0, 1e-12, 1e-9, 1e-7, 5e-7, 2e-6], k)
+        off = ~np.eye(k, dtype=bool)
+        A[v][np.ix_(I, I)] = B - off * (B.sum(axis=0)
+                                        - delta * np.max(np.abs(B))) / (k - 1)
+    stacks["colsum-boundary"] = A
+    # Blocks [[t + h p, t - h q], [-p, q]]: y = (1, h) gives y^T B = t e, with
+    # t and h tiny, so only a certificate without margin holds, while an LP
+    # within its tolerance finds x = (q, p) nearly feasible.
+    A = _positive_diagonal(rng, count, n)
+    for v in range(count):
+        I = rng.choice(n, 2, replace=False)
+        p, q = rng.uniform(0.5, 2.0, 2)
+        t = rng.choice([1e-14, 1e-12, 1e-10])
+        h = rng.choice([1e-12, 1e-10, 1e-9, 1e-8])
+        A[v][np.ix_(I, I)] = [[t + h * p, t - h * q], [-p, q]]
+    stacks["gordan-boundary"] = A
+    # Blocks singular in exact arithmetic: one column a combination of the
+    # others, so the float determinant sits at rounding level.
+    A = _positive_diagonal(rng, count, n)
+    for v in range(count):
+        I = rng.choice(n, int(rng.integers(2, n + 1)), replace=False)
+        A[v, I, I[-1]] = A[v][np.ix_(I, I[:-1])] @ rng.uniform(-1, 1, len(I) - 1)
+    stacks["singular"] = A
+    for name in list(stacks):
+        if name != "integer":
+            S = stacks[name]
+            stacks[name + "-scaled"] = (10.0 ** rng.uniform(-3, 3, (len(S), n, 1))
+                                        * S * 10.0 ** rng.uniform(-3, 3, (len(S), 1, n)))
+    return stacks
+
+
+@pytest.mark.parametrize("token", ["r0", "r", "semimonotone",
+                                   "column-sufficient"])
+def test_screen_flags_every_failure(token):
+    # The falsifier decides only the matrices the screen flags, so every
+    # matrix the point decider rejects (or breaks down on, which the walk
+    # must reach too) has to be flagged. The counts keep the probe honest:
+    # enough failures, and enough passing matrices cleared.
+    failures = cleared = 0
+    for n in (2, 3, 4, 5):
+        for name, stack in _screen_stacks(n).items():
+            flagged = oracle._maybe_fails(stack, token)
+            cleared += int(np.sum(~flagged))
+            for v, A in enumerate(stack):
+                try:
+                    holds = point_check(A, token)
+                except LpEngineError:
+                    holds = False
+                if not holds:
+                    failures += 1
+                    assert flagged[v], (token, name, A.tolist())
+    assert failures >= 100 and cleared >= 100
 
 
 class TestCrossValidate:

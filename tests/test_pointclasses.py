@@ -6,7 +6,6 @@ import lcpbox as lb
 from lcpbox.errors import DimensionCapError
 from lcpbox.intervals import disjoint_index_pairs, nonempty_subsets
 from lcpbox.lp import EQ, GE, LE, LinearSystem
-from lcpbox.oracle import brute_copositive, brute_feasibility
 from lcpbox.pointclasses import (
     column_sufficiency_witness,
     copositive_minimum,
@@ -15,6 +14,8 @@ from lcpbox.pointclasses import (
     r_witness,
     semimonotone_witness,
 )
+
+from brute import brute_copositive, brute_feasibility
 
 COUNTEREXAMPLE = np.array([[0.0, -1.0], [0.0, 0.0]])
 
