@@ -163,9 +163,10 @@ def _maybe_fails(stack: np.ndarray, token: str) -> np.ndarray:
       :func:`pointclasses.minor_sign` does, or for r a nonsingular block
       whose closed form may give a witness (:func:`_r_closed_form_maybe`).
     * semimonotone and column-sufficient: a negative diagonal entry, or a
-      principal block (semimonotone) or signed block of a pair from
-      :func:`disjoint_index_pairs` (column-sufficient) of size >= 2 that
-      :func:`_gordan_clears` does not clear.
+      principal block (semimonotone) or signed block of a disjoint pair
+      (column-sufficient, :func:`pointclasses._signed_block`, the point
+      decider's own builder) of size >= 2 that :func:`_gordan_clears` does
+      not clear.
     """
     n = stack.shape[-1]
     diag = np.diagonal(stack, axis1=-2, axis2=-1)
@@ -179,10 +180,8 @@ def _maybe_fails(stack: np.ndarray, token: str) -> np.ndarray:
                 break
             if len(I) + len(J) < 2:
                 continue
-            idx, k = list(I) + list(J), len(I)
-            B = stack[np.ix_(rest, idx, idx)]
-            B[:, :k, k:] *= -1.0
-            B[:, k:, :k] *= -1.0
+            sub = stack[rest]
+            B = pc._signed_block(sub, sub, I, J)
             maybe[rest] = ~_gordan_clears(B, token == "column-sufficient")
         return maybe
     ztol = 1e-12 * np.max(np.abs(stack), axis=(-2, -1))

@@ -5,6 +5,10 @@ the deciders the falsification oracle re-verifies counterexamples with.
 Each test follows the defining system of its class directly; the
 exponential ones enumerate index sets by increasing cardinality
 (lexicographic within) so the first witness is deterministic.
+
+The column-sufficiency and index (R0, R) systems take two bounds, and a
+matrix passes itself twice; the strong routes pass a box's bounds to the
+same builders, and the falsifier's screen its realization stacks.
 """
 
 from __future__ import annotations
@@ -285,39 +289,46 @@ def is_semimonotone(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) ->
 # ---------------------------------------------------------------------------
 
 
-def _signed_block(A: np.ndarray, I, J) -> np.ndarray:
-    """[[A_II, -A_IJ], [-A_JI, A_JJ]] in the variable order I then J."""
+def _signed_block(lower: np.ndarray, upper: np.ndarray, I, J) -> np.ndarray:
+    """[[lower_II, -upper_IJ], [-upper_JI, lower_JJ]] in the variable order
+    I then J, for one matrix or each matrix of a (V, n, n) stack. ``take``
+    returns C-contiguous blocks; a chained fancy gather does not, and the
+    LP's row sums then round differently."""
     idx = list(I) + list(J)
-    sub = A[np.ix_(idx, idx)].copy()
-    k = len(I)
-    sub[:k, k:] *= -1.0
-    sub[k:, :k] *= -1.0
-    return sub
+    block = lower.take(idx, axis=-2).take(idx, axis=-1)
+    if J:
+        k = len(I)
+        up = upper.take(idx, axis=-2).take(idx, axis=-1)
+        block[..., :k, k:] = -up[..., :k, k:]
+        block[..., k:, :k] = -up[..., k:, :k]
+    return block
+
+
+def _signed_block_witness(lower: np.ndarray, upper: np.ndarray):
+    """First (I, J, x, strict_row) whose signed block of the two bounds
+    maps some x > 0 to a nonzero nonpositive vector, else None. Pairs are
+    enumerated up to the (I,J) <-> (J,I) block symmetry; a 1x1 block is
+    decided by its entry against the zero tolerance of both bounds."""
+    ztol = max(_ztol(lower), _ztol(upper))
+    for I, J in disjoint_index_pairs(lower.shape[0]):
+        if len(I) + len(J) == 1:
+            if lower[I[0], I[0]] < -ztol:
+                return I, J, np.array([1.0]), 0
+            continue
+        res = feasible_positive_strict(_signed_block(lower, upper, I, J),
+                                       strict_all=False)
+        if res.feasible:
+            return I, J, res.witness, res.strict_row
+    return None
 
 
 def column_sufficiency_witness(A, cap: int = CAP_POINT_ENUM,
                                override_cap: bool = False):
-    """First (I, J, x, strict_row) violating column sufficiency, else None.
-
-    The defining system per disjoint pair (I, J) asks for x > 0 with the
-    signed block matrix mapping it to a nonzero nonpositive vector; pairs
-    are enumerated up to the (I,J) <-> (J,I) block symmetry.
-    """
+    """First (I, J, x, strict_row) violating column sufficiency, else None:
+    :func:`_signed_block_witness` with both bounds equal to A."""
     M = _square(A)
-    n = M.shape[0]
-    _check_cap(n, cap, override_cap)
-    ztol = _ztol(M)
-    for I, J in disjoint_index_pairs(n):
-        if len(I) + len(J) == 1:
-            a = M[I[0], I[0]]
-            if a < -ztol:
-                return I, J, np.array([1.0]), 0
-            continue
-        block = _signed_block(M, I, J)
-        res = feasible_positive_strict(block, strict_all=False)
-        if res.feasible:
-            return I, J, res.witness, res.strict_row
-    return None
+    _check_cap(M.shape[0], cap, override_cap)
+    return _signed_block_witness(M, M)
 
 
 def is_column_sufficient(A, cap: int = CAP_POINT_ENUM,
@@ -362,8 +373,33 @@ def is_P(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def r0_witness(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False):
-    """First (I, x) with A_II x = 0, A_JI x >= 0, x > 0, else None."""
+def _index_system(lower: np.ndarray, upper: np.ndarray, I, J,
+                  with_t: bool) -> tuple[LinearSystem, float]:
+    """x >= e with lower_II x + e t <= 0, upper_II x + e t >= 0 and
+    lower_JI x + e t >= 0, the x columns scaled by their max |entry|, which
+    is returned too. Without ``with_t`` the t column is left out (R0). A
+    single matrix passes itself as both bounds, and the two block rows
+    then state A_II x + e t = 0."""
+    idx = list(I)
+    k = len(idx)
+    blocks = [lower[np.ix_(idx, idx)], upper[np.ix_(idx, idx)]]
+    rels = [LE] * k + [GE] * k
+    if J:
+        blocks.append(lower[np.ix_(J, idx)])
+        rels += [GE] * len(J)
+    stacked = np.vstack(blocks)
+    norm = float(np.max(np.abs(stacked))) or 1.0
+    coeffs = stacked / norm  # homogeneous in x, unit-scale it
+    bounds = (1.0,) * k
+    if with_t:
+        coeffs = np.hstack([coeffs, np.ones((coeffs.shape[0], 1))])
+        bounds += (0.0,)
+    return LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]), bounds), norm
+
+
+def _index_witness(A, with_t: bool, cap: int, override_cap: bool):
+    """First (I, x, t) with A_II x + e t = 0, A_JI x + e t >= 0, x > 0 and
+    t >= 0 (R, ``with_t``), or with t = 0 (R0), else None."""
     M = _square(A)
     n = M.shape[0]
     _check_cap(n, cap, override_cap)
@@ -371,31 +407,43 @@ def r0_witness(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False):
     ambient = float(np.max(np.abs(M), initial=0.0))
     for I in nonempty_subsets(n):
         J = [j for j in range(n) if j not in I]
-        if len(I) == 1:
-            i = I[0]
-            if abs(M[i, i]) <= ztol and (not J or np.min(M[J, i]) >= -ztol):
-                return I, np.array([1.0])
-            continue
-        # A_II x = 0 with x > 0 needs a singular block; skip the LP otherwise.
-        if minor_sign(M, I, ambient) != 0:
-            continue
         idx = list(I)
-        top = M[np.ix_(idx, idx)]
-        rows = [top]
-        rels = [EQ] * len(idx)
-        if J:
-            rows.append(M[np.ix_(J, idx)])
-            rels += [GE] * len(J)
-        coeffs = np.vstack(rows)
-        norm = float(np.max(np.abs(coeffs)))
-        if norm > 0.0:
-            coeffs = coeffs / norm  # homogeneous system, unit-scale it
-        system = LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]),
-                              (1.0,) * len(idx))
+        k = len(idx)
+        if k == 1:
+            a = M[I[0], I[0]]
+            # R takes t = -a; R0 needs a zero entry.
+            shift = a if with_t else 0.0
+            if ((a <= ztol if with_t else abs(a) <= ztol)
+                    and (not J or np.min(M[J, I[0]] - shift) >= -ztol)):
+                return I, np.array([1.0]), max(0.0, -float(shift))
+            continue
+        if minor_sign(M, I, ambient) != 0:
+            # A_II x = 0 with x > 0 needs a singular block, so R0 skips it.
+            # For R, t = 0 would force x = 0, so t > 0 and x = -t * w with
+            # w = A_II^{-1} e; feasibility is closed form. The row
+            # comparisons carry the same slack the LP rows would.
+            if not with_t:
+                continue
+            w = np.linalg.solve(M[np.ix_(idx, idx)], np.ones(k))
+            if np.max(w) < 0.0 and (
+                not J or np.max(M[np.ix_(J, idx)] @ w) <= 1.0 + 1e-9
+            ):
+                t_val = float(np.max(1.0 / -w))
+                return I, -t_val * w, t_val
+            continue
+        system, norm = _index_system(M, M, I, J, with_t)
         res = solve_feasibility(system)
         if res.feasible:
-            return I, res.witness
+            # t was solved against A/norm; undo the scaling
+            t_val = float(res.witness[k]) * norm if with_t else 0.0
+            return I, res.witness[:k], t_val
     return None
+
+
+def r0_witness(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False):
+    """First (I, x) with A_II x = 0, A_JI x >= 0, x > 0, else None."""
+    hit = _index_witness(A, False, cap, override_cap)
+    return None if hit is None else hit[:2]
 
 
 def is_R0(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) -> bool:
@@ -406,49 +454,7 @@ def is_R0(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) -> bool:
 def r_witness(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False):
     """First (I, x, t) with A_II x + e t = 0, A_JI x + e t >= 0, x > 0,
     t >= 0, else None."""
-    M = _square(A)
-    n = M.shape[0]
-    _check_cap(n, cap, override_cap)
-    ztol = _ztol(M)
-    ambient = float(np.max(np.abs(M), initial=0.0))
-    for I in nonempty_subsets(n):
-        J = [j for j in range(n) if j not in I]
-        if len(I) == 1:
-            i = I[0]
-            a = M[i, i]
-            if a <= ztol and (not J or np.min(M[J, i] - a) >= -ztol):
-                return I, np.array([1.0]), max(0.0, -float(a))
-            continue
-        idx = list(I)
-        k = len(idx)
-        if minor_sign(M, I, ambient) != 0:
-            # Nonsingular block: t = 0 would force x = 0, so t > 0 and
-            # x = -t * w with w = A_II^{-1} e; feasibility is closed form.
-            # The row comparisons carry the same slack the LP rows would.
-            w = np.linalg.solve(M[np.ix_(idx, idx)], np.ones(k))
-            if np.max(w) < 0.0 and (
-                not J or np.max(M[np.ix_(J, idx)] @ w) <= 1.0 + 1e-9
-            ):
-                t_val = float(np.max(1.0 / -w))
-                return I, -t_val * w, t_val
-            continue
-        norm = float(np.max(np.abs(M[:, idx][list(I) + J])))
-        norm = norm if norm > 0.0 else 1.0
-        top = np.column_stack([M[np.ix_(idx, idx)] / norm, np.ones(k)])
-        rows = [top]
-        rels = [EQ] * k
-        if J:
-            rows.append(np.column_stack([M[np.ix_(J, idx)] / norm,
-                                         np.ones(len(J))]))
-            rels += [GE] * len(J)
-        coeffs = np.vstack(rows)
-        system = LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]),
-                              (1.0,) * k + (0.0,))
-        res = solve_feasibility(system)
-        if res.feasible:
-            # t was solved against A/norm; undo the scaling
-            return I, res.witness[:k], float(res.witness[k]) * norm
-    return None
+    return _index_witness(A, True, cap, override_cap)
 
 
 def is_R(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) -> bool:

@@ -33,7 +33,6 @@ from .errors import (
 from .intervals import (
     IntervalMatrix,
     comparison_matrix,
-    disjoint_index_pairs,
     nonempty_subsets,
     sign_vectors,
     signed_vertex,
@@ -49,7 +48,7 @@ from .linalg import (
     spectral_radius_nonneg,
     symmetric_part,
 )
-from .lp import GE, LE, LinearSystem, feasible_positive_strict, solve_feasibility
+from .lp import feasible_positive_strict, solve_feasibility
 from .tolerances import (
     CAP_INDEX_PAIRS,
     CAP_NONDEGENERATE,
@@ -118,10 +117,6 @@ class CheckConfig:
     cap_nondegenerate: int = CAP_NONDEGENERATE
     cap_point: int = CAP_POINT_ENUM
     override_caps: bool = False
-    verify_certificates: bool = True
-    # Point re-verification of certificates is exponential for some
-    # properties; skip it above this dimension (containment still checked).
-    verify_cap: int = 6
 
     def __post_init__(self):
         if self.fast_paths not in ("auto", "off", "only"):
@@ -861,40 +856,19 @@ def strong_principally_nondegenerate(box: IntervalMatrix,
 # ---------------------------------------------------------------------------
 
 
-def _strong_cs_block(box: IntervalMatrix, I, J) -> np.ndarray:
-    """[[lower_II, -upper_IJ], [-upper_JI, lower_JJ]] in order I then J."""
-    idx = list(I) + list(J)
-    k = len(I)
-    block = box.lower[np.ix_(idx, idx)].copy()
-    if J:
-        up = box.upper[np.ix_(idx, idx)]
-        block[:k, k:] = -up[:k, k:]
-        block[k:, :k] = -up[k:, :k]
-    return block
-
-
 def _cs_witness(box: IntervalMatrix) -> dict | None:
-    """The first disjoint index pair (I, J) whose signed block system has a
-    solution, as a certificate (I, J, x, strict_row and the sign-vertex
-    realization), or None when every system is infeasible."""
-    ztol = _ztol(box)
-    for I, J in disjoint_index_pairs(box.n):
-        if len(I) + len(J) == 1:
-            if box.lower[I[0], I[0]] >= -ztol:
-                continue
-            x, row = np.array([1.0]), 0
-        else:
-            res = feasible_positive_strict(_strong_cs_block(box, I, J),
-                                           strict_all=False)
-            if not res.feasible:
-                continue
-            x, row = res.witness, res.strict_row
-        # The sign vertex whose (I, J) blocks are the system matrix.
-        s = np.ones(box.n)
-        s[list(J)] = -1.0
-        return {"I": I, "J": J, "x": x, "strict_row": row,
-                "realization": signed_vertex(box, s, s)}
-    return None
+    """The first disjoint pair (I, J) whose signed block system of the two
+    bounds is feasible, as a certificate (I, J, x, strict_row and the
+    sign-vertex realization), or None."""
+    hit = pc._signed_block_witness(box.lower, box.upper)
+    if hit is None:
+        return None
+    I, J, x, row = hit
+    # The sign vertex whose (I, J) blocks are the system matrix.
+    s = np.ones(box.n)
+    s[list(J)] = -1.0
+    return {"I": I, "J": J, "x": x, "strict_row": row,
+            "realization": signed_vertex(box, s, s)}
 
 
 def _cs_fast_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
@@ -997,28 +971,6 @@ def _r_realization(box: IntervalMatrix, I, x: np.ndarray, t: float) -> np.ndarra
     return A
 
 
-def _index_system(box: IntervalMatrix, I, J,
-                  with_t: bool) -> tuple[LinearSystem, float]:
-    """x >= e with lower_II x + e t <= 0, upper_II x + e t >= 0 and
-    lower_JI x + e t >= 0, the x columns scaled by their max |entry|, which
-    is returned too. Without ``with_t`` the t column is left out (R0)."""
-    idx = list(I)
-    k = len(idx)
-    blocks = [box.lower[np.ix_(idx, idx)], box.upper[np.ix_(idx, idx)]]
-    rels = [LE] * k + [GE] * k
-    if J:
-        blocks.append(box.lower[np.ix_(J, idx)])
-        rels += [GE] * len(J)
-    stacked = np.vstack(blocks)
-    norm = float(np.max(np.abs(stacked))) or 1.0
-    coeffs = stacked / norm  # homogeneous in x, unit-scale it
-    bounds = (1.0,) * k
-    if with_t:
-        coeffs = np.hstack([coeffs, np.ones((coeffs.shape[0], 1))])
-        bounds += (0.0,)
-    return LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]), bounds), norm
-
-
 def _index_witness(box: IntervalMatrix, with_t: bool) -> dict | None:
     """The first index set I whose strong R (``with_t``) or R0 system is
     feasible, as a certificate (I, x, t for R, and a realization), or None
@@ -1026,7 +978,7 @@ def _index_witness(box: IntervalMatrix, with_t: bool) -> dict | None:
     n = box.n
     for I in nonempty_subsets(n):
         J = [j for j in range(n) if j not in I]
-        system, norm = _index_system(box, I, J, with_t)
+        system, norm = pc._index_system(box.lower, box.upper, I, J, with_t)
         res = solve_feasibility(system)
         if res.feasible:
             x = res.witness[: len(I)]
@@ -1087,6 +1039,10 @@ def strong_r(box: IntervalMatrix, config: CheckConfig | None = None) -> Property
 # Dispatch, certificate verification, full sweep
 # ---------------------------------------------------------------------------
 
+# Point re-verification of certificates is exponential for some
+# properties; it is skipped above this dimension (containment still checked).
+_VERIFY_CAP = 6
+
 _DISPATCH = {
     "s": strong_s,
     "z": strong_z,
@@ -1112,8 +1068,8 @@ def check_property(box: IntervalMatrix, prop: str,
         raise ValueError(f"unknown strong property token {prop!r}")
     config = _cfg(config)
     verdict = _DISPATCH[prop](box, config)
-    if config.verify_certificates and not verdict.holds:
-        ok = verify_certificate(box, verdict, config)
+    if not verdict.holds:
+        ok = verify_certificate(box, verdict)
         if not ok:
             raise CertificateVerificationError(
                 f"certificate for strong {prop} failed re-verification"
@@ -1121,16 +1077,14 @@ def check_property(box: IntervalMatrix, prop: str,
     return verdict
 
 
-def verify_certificate(box: IntervalMatrix, verdict: PropertyVerdict,
-                       config: CheckConfig | None = None) -> bool:
+def verify_certificate(box: IntervalMatrix, verdict: PropertyVerdict) -> bool:
     """Re-verify a negative verdict's certificate.
 
     Checks that the certificate's realization lies in the box and, for
-    dimensions within ``config.verify_cap``, that the point property
-    indeed fails for it. Positive verdicts verify trivially; a negative
-    verdict without a certificate or without a realization does not.
+    dimensions up to ``_VERIFY_CAP``, that the point property indeed fails
+    for it. Positive verdicts verify trivially; a negative verdict without
+    a certificate or without a realization does not.
     """
-    config = _cfg(config)
     if verdict.holds:
         return True
     A = (verdict.certificate or {}).get("realization")
@@ -1141,7 +1095,7 @@ def verify_certificate(box: IntervalMatrix, verdict: PropertyVerdict,
                        float(np.max(np.abs(box.lower))))
     if not box.contains(A, tol=slack):
         return False
-    if box.n > config.verify_cap:
+    if box.n > _VERIFY_CAP:
         return True
     return not pc.point_check(A, verdict.property)
 

@@ -28,3 +28,11 @@ def test_cli_imports_only_lcpbox_and_stdlib_beyond_numpy():
     assert "lcpbox" in added
     assert sorted(m for m in added
                   if m != "lcpbox" and m not in sys.stdlib_module_names) == []
+
+
+def test_lp_systems_are_built_outside_the_strong_module():
+    # The strong routes pass the box's bounds to the system builders of
+    # lcpbox.pointclasses and lcpbox.lp; they write no LP rows themselves.
+    import lcpbox.strong as strong
+    assert [name for name in ("LinearSystem", "LE", "GE", "EQ")
+            if hasattr(strong, name)] == []

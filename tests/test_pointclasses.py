@@ -7,6 +7,7 @@ from lcpbox.errors import DimensionCapError
 from lcpbox.intervals import disjoint_index_pairs, nonempty_subsets
 from lcpbox.lp import EQ, GE, LE, LinearSystem
 from lcpbox.pointclasses import (
+    _signed_block,
     column_sufficiency_witness,
     copositive_minimum,
     principal_minor_witness,
@@ -169,6 +170,28 @@ class TestColumnSufficiency:
         ))
         D = np.diag(s)
         assert lb.is_column_sufficient(D @ A @ D) == lb.is_column_sufficient(A)
+
+    def test_signed_block_of_a_stack_matches_each_matrix(self):
+        # One builder serves single matrices (the point and strong routes)
+        # and stacks (the falsifier screen). The LP sums rows, so the bits
+        # and the C layout of a block decide its witness bits.
+        rng = np.random.default_rng(12)
+        for n in range(2, 5):
+            lower = rng.uniform(-2, 2, (6, n, n)) * 10.0 ** rng.uniform(-5, 3)
+            upper = lower + rng.uniform(0, 1, (6, n, n))
+            for I, J in disjoint_index_pairs(n):
+                idx = list(I) + list(J)
+                stacked = _signed_block(lower, upper, I, J)
+                assert stacked.flags["C_CONTIGUOUS"], (I, J)
+                for v in range(len(lower)):
+                    one = _signed_block(lower[v], upper[v], I, J)
+                    assert one.flags["C_CONTIGUOUS"], (I, J)
+                    assert stacked[v].tobytes() == one.tobytes(), (I, J)
+                    k = len(I)
+                    expected = lower[v][np.ix_(idx, idx)]
+                    expected[:k, k:] = -upper[v][np.ix_(I, J)]
+                    expected[k:, :k] = -upper[v][np.ix_(J, I)]
+                    assert np.array_equal(one, expected), (I, J)
 
 
 class TestMinorClasses:

@@ -395,6 +395,23 @@ class TestStrongColumnSufficient:
         assert not lb.is_column_sufficient(A)
 
 
+    def test_tiny_negative_diagonal_is_judged_against_the_box_scale(self):
+        # Every entry is below 1, so a floor of 1 in the 1x1 zero rule
+        # called lower[0, 0] = -5e-13 zero while semimonotonicity and the
+        # falsifier, relative to the box's max|entry|, called it negative.
+        box = lb.from_bounds([[-5e-13, 0], [0, 1e-3]], [[-5e-13, 0], [0, 2e-3]])
+        verdicts = [lb.check_property(box, prop, GENERAL)
+                    for prop in ("column-sufficient", "semimonotone")]
+        for verdict in verdicts:
+            assert not verdict.holds, verdict.property
+        cs = verdicts[0]
+        assert cs.method == "general:signed-block-systems"
+        assert cs.certificate["I"] == (0,) and cs.certificate["J"] == ()
+        assert np.array_equal(cs.certificate["realization"], box.lower)
+        report = lb.cross_validate(box, verdicts, budget=64)
+        assert [(e.status, e.samples) for e in report.entries] == [("confirmed", 1)] * 2
+
+
 class TestStrongR0AndR:
     def test_reference_boxes(self, box3_10, box3_15):
         for prop in ("r0", "r"):
@@ -436,14 +453,22 @@ class TestStrongR0AndR:
 
 class TestVerdictInfrastructure:
     def test_degenerate_box_equals_point_checks(self):
+        # On [A, A] the strong systems are the point definitions: uniform
+        # matrices, and integer ones (zero entries, singular blocks) of
+        # which every third is scaled far from unit magnitude.
         rng = np.random.default_rng(3)
-        for _ in range(25):
-            n = int(rng.integers(1, 5))
-            A = rng.uniform(-2, 2, (n, n))
+        mats = [rng.uniform(-2, 2, (n, n)) for n in rng.integers(1, 5, 25)]
+        for k in range(300):
+            n = 1 + k % 4
+            A = rng.integers(-2, 3, (n, n)).astype(float)
+            mats.append(A * 10.0 ** rng.uniform(-5, 3) if k % 3 == 0 else A)
+        for A in mats:
             box = lb.degenerate(A)
             for prop in ALL_STRONG_PROPERTIES:
-                verdict = lb.check_property(box, prop)
-                assert verdict.holds == POINT_EQUIV[prop](A), prop
+                point = POINT_EQUIV[prop](A)
+                for config in (CheckConfig(), GENERAL):
+                    verdict = lb.check_property(box, prop, config)
+                    assert verdict.holds == point, (prop, config.fast_paths, A)
 
     def test_radius_monotonicity(self, mid3):
         for prop in TRACKED:
