@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ import lcpbox as lb
 from lcpbox import oracle
 from lcpbox.oracle import falsify
 from lcpbox.errors import DimensionCapError
+from lcpbox.linalg import batch_minor_signs
 from lcpbox.lp import LpEngineError
-from lcpbox.pointclasses import PointProperty, is_nonsingular, point_check
+from lcpbox.pointclasses import PointProperty, is_nonsingular, point_check, r_witness
 from lcpbox.tolerances import CAP_POINT_ENUM
 from lcpbox.strong import PropertyVerdict
 from brute import brute_copositive
@@ -220,7 +223,7 @@ def test_chunks_bounded_by_entries_at_larger_n(monkeypatch):
     rng = np.random.default_rng(8)
     box = lb.from_midpoint_radius(np.eye(n) + rng.uniform(-0.1, 0.1, (n, n)),
                                   rng.uniform(0, 0.15, (n, n)))
-    sizes = [len(stack) for _, stack, _ in
+    sizes = [len(chunk.stack) for chunk in
              oracle._realization_chunks(box, budget, 0)]
     assert sum(sizes) == budget and max(sizes) == 3
     for prop in ("p", "principally-nondegenerate", "nonsingular", "r0", "z"):
@@ -246,10 +249,52 @@ def _positive_diagonal(rng, count, n):
     return A
 
 
+def _r_diagonal_probes(rng, count, n):
+    """Matrices at the boundary of r_witness's 1x1 rule, a_ii <= ztol and
+    a_ji - a_ii >= -ztol for every j != i, with ztol = 1e-12 * max|entry|.
+    An entry m outside column i sets max|entry| so that ztol is 2^-37, and
+    with a_ii = -0.5 the differences -2 ztol, -ztol, 0 and ztol are exact;
+    the other entries of the column sit above them."""
+    m = 2.0 ** -37 / 1e-12
+    assert 1e-12 * m == 2.0 ** -37
+    A = 3.0 * _positive_diagonal(rng, count, n) / 2.0
+    for v in range(count):
+        i, c = rng.choice(n, 2, replace=False) if n > 1 else (0, 0)
+        A[v, rng.integers(n), c] = rng.choice([-m, m])
+        A[v, :, i] = -0.5 + rng.uniform(0.1, 1.0, n)
+        A[v, i, i] = -0.5
+        if n > 1:
+            j = rng.choice([r for r in range(n) if r != i])
+            A[v, j, i] = -0.5 + rng.choice([-2.0, -1.0, 0.0, 1.0]) * 2.0 ** -37
+    return A
+
+
+def _gordan_neighbours(rng, count, n):
+    """Small relative perturbations of one matrix whose principal 3x3 block
+    B has a Gordan certificate y > 0, y^T B > 0, while y = e and y = B^-T e
+    miss: an LP finds a certificate once and the walk reuses it on the
+    neighbours. The larger perturbations cross the boundary."""
+    while True:
+        y = 10.0 ** rng.uniform(-1, 1, 3)
+        B = -rng.uniform(0.1, 1.0, (3, 3))
+        B[range(3), range(3)] = rng.uniform(0.5, 2.0, 3)
+        B[2] = (rng.uniform(0.05, 0.5, 3) - y[:2] @ B[:2]) / y[2]
+        if (B[2, 2] > 0 and np.min(B[2]) < 0 and np.min(B.sum(axis=0)) < 0
+                and np.min(np.linalg.solve(B.T, np.ones(3))) < 0):
+            break
+    base = _positive_diagonal(rng, 1, n)[0]
+    base[~np.eye(n, dtype=bool)] *= 0.05
+    I = rng.choice(n, 3, replace=False)
+    base[np.ix_(I, I)] = B
+    return base * (1.0 + 10.0 ** rng.uniform(-6, 0, (count, 1, 1))
+                   * rng.uniform(-1.0, 1.0, (count, n, n)))
+
+
 def _screen_stacks(n):
     """Stacks of n x n matrices that probe :func:`oracle._maybe_fails`:
     random at magnitudes 1e-8..1e3, integer-valued, four kinds of planted
-    near-boundary blocks, and row- and column-scaled copies."""
+    near-boundary blocks, R's 1x1 boundary, neighbours of a block only an
+    LP-found Gordan certificate clears, and row- and column-scaled copies."""
     rng = np.random.default_rng(40 + n)
     count = {2: 60, 3: 40, 4: 20, 5: 8}[n]
     stacks = {"integer": rng.integers(-2, 3, (count, n, n)).astype(float)}
@@ -310,12 +355,23 @@ def _screen_stacks(n):
         I = rng.choice(n, int(rng.integers(2, n + 1)), replace=False)
         A[v, I, I[-1]] = A[v][np.ix_(I, I[:-1])] @ rng.uniform(-1, 1, len(I) - 1)
     stacks["singular"] = A
+    # Drawn from a generator of their own, so that the stacks above and
+    # their scaled copies stay as they were.
+    extra = np.random.default_rng(80 + n)
+    stacks["r-diagonal"] = _r_diagonal_probes(extra, count, n)
+    if n >= 3:
+        stacks["gordan-neighbours"] = _gordan_neighbours(extra, 2 * count, n)
     for name in list(stacks):
         if name != "integer":
             S = stacks[name]
             stacks[name + "-scaled"] = (10.0 ** rng.uniform(-3, 3, (len(S), n, 1))
                                         * S * 10.0 ** rng.uniform(-3, 3, (len(S), 1, n)))
     return stacks
+
+
+def _screen(stack, token, certificates=None):
+    return oracle._maybe_fails(stack, token, lambda I: batch_minor_signs(stack, I),
+                               certificates)
 
 
 @pytest.mark.parametrize("token", ["r0", "r", "semimonotone",
@@ -328,7 +384,7 @@ def test_screen_flags_every_failure(token):
     failures = cleared = 0
     for n in (2, 3, 4, 5):
         for name, stack in _screen_stacks(n).items():
-            flagged = oracle._maybe_fails(stack, token)
+            flagged = _screen(stack, token)
             cleared += int(np.sum(~flagged))
             for v, A in enumerate(stack):
                 try:
@@ -339,6 +395,153 @@ def test_screen_flags_every_failure(token):
                     failures += 1
                     assert flagged[v], (token, name, A.tolist())
     assert failures >= 100 and cleared >= 100
+
+
+def test_r_singletons_match_the_point_rule():
+    # R's screen flags a 1x1 block exactly as r_witness does, which tries
+    # every 1x1 block before any larger one. On the boundary probes the
+    # size-2 blocks' closed form flags the same matrices, so the 1x1 rule
+    # is compared on its own.
+    hits = {True: 0, False: 0}
+    for n in (1, 2, 3, 4, 5):
+        rng = np.random.default_rng(90 + n)
+        stack = _r_diagonal_probes(rng, 40, n)
+        stack = np.concatenate([stack, 10.0 ** rng.uniform(-3, 3, (40, n, 1))
+                                * stack * 10.0 ** rng.uniform(-3, 3, (40, 1, n))])
+        mask = oracle._r_singletons(stack)
+        for v, A in enumerate(stack):
+            try:
+                hit = r_witness(A)
+            except LpEngineError:  # raised past the 1x1 blocks
+                hit = None
+            singleton = hit is not None and len(hit[0]) == 1
+            assert mask[v] == singleton, A.tolist()
+            hits[singleton] += 1
+    assert min(hits.values()) >= 50
+
+
+@pytest.mark.parametrize("token", ["semimonotone", "column-sufficient"])
+def test_walk_certificates_clear_only_passing_matrices(token):
+    # Along a walk the screen also tries the Gordan certificate an LP found
+    # for the same block of an earlier matrix. Every matrix it clears that
+    # way must pass the point decider, and only such matrices are cleared.
+    clears = 0
+    for n in (2, 3, 4, 5):
+        for name, stack in _screen_stacks(n).items():
+            alone = _screen(stack, token)
+            walked = _screen(stack, token, certificates={})
+            assert not np.any(walked & ~alone), (token, name)
+            for v in np.flatnonzero(alone & ~walked):
+                clears += 1
+                assert point_check(stack[v], token), (token, name, stack[v].tolist())
+    assert clears >= 100
+
+
+def test_gordan_clears_blocks_stacked_with_a_singular_one():
+    # An exactly singular block in the stack must not cost the others their
+    # certificate y = B^-T e.
+    A = [[1, -0.9, 0], [-0.9, 1, -0.05], [0, -3, 1]]
+    L = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    for nonzero_row in (False, True):
+        alone = oracle._gordan_clears(np.array([A], dtype=float), nonzero_row)
+        stacked = oracle._gordan_clears(np.array([A, L], dtype=float), nonzero_row)
+        assert alone.tolist() == [True] and stacked.tolist() == [True, False]
+
+
+SHARED_TOKENS = ("semimonotone", "column-sufficient", "r", "r0",
+                 "principally-nondegenerate", "p", "nonsingular")
+# (strong verdict holds, counterexample found) -> status
+STATUS = {(True, True): "contradiction", (True, False): "consistent",
+          (False, True): "confirmed", (False, False): "unconfirmed"}
+
+
+def _assert_shared_walk(box, budget, seed=0, tokens=SHARED_TOKENS):
+    """cross_validate's shared walk against one falsify per token."""
+    verdicts = [PropertyVerdict(property=t, holds=k % 2 == 0, method="forged",
+                                certificate=None, elapsed=0.0)
+                for k, t in enumerate(tokens)]
+    report = lb.cross_validate(box, verdicts, budget=budget, seed=seed)
+    for verdict, entry in zip(verdicts, report.entries):
+        alone = falsify(box, verdict.property, budget=budget, seed=seed)
+        assert entry.status == STATUS[verdict.holds, alone.found]
+        assert entry.samples == alone.samples, verdict.property
+        assert (entry.counterexample is None) == (alone.counterexample is None)
+        if alone.found:
+            assert (entry.counterexample["matrix"].tobytes()
+                    == alone.counterexample["matrix"].tobytes())
+            assert entry.counterexample["kind"] == alone.counterexample["kind"]
+
+
+def test_shared_walk_matches_one_walk_per_token():
+    for lower, upper in WALK_BOXES:
+        box = lb.from_bounds(lower, upper)
+        _assert_shared_walk(box, 1 << (box.n * box.n))
+    # Criterion 8's distribution, all 512 vertices.
+    rng = np.random.default_rng(999)
+    for _ in range(50):
+        box = lb.from_midpoint_radius(rng.uniform(-2, 2, (3, 3)),
+                                      rng.uniform(0, 1, (3, 3)))
+        _assert_shared_walk(box, 2000, seed=1)
+    # Sampled walks of 4x4 boxes.
+    rng = np.random.default_rng(4004)
+    for _ in range(12):
+        box = lb.from_midpoint_radius(rng.uniform(-2, 2, (4, 4)),
+                                      rng.uniform(0, 1, (4, 4)))
+        _assert_shared_walk(box, 256, seed=1)
+
+
+def test_shared_walk_kept_or_drawn_again(monkeypatch):
+    # At n = 8 the two bounds, then chunks of 1, 2, 3, 3, ... realizations.
+    # A walk whose entries and minor signs fit the bound keeps its chunks
+    # and signs; past the bound every property draws its own chunks. Both
+    # match a walk of their own.
+    n, budget = 8, 40
+    monkeypatch.setattr(oracle, "_FIRST_ENTRIES", n * n)
+    monkeypatch.setattr(oracle, "_CHUNK_ENTRIES", 3 * n * n)
+    rng = np.random.default_rng(8)
+    box = lb.from_midpoint_radius(np.eye(n) + rng.uniform(-0.1, 0.1, (n, n)),
+                                  rng.uniform(0, 0.15, (n, n)))
+    tokens = ("r0", "principally-nondegenerate", "p", "r0", "nonsingular")
+    walk = oracle._Walk(box, budget, 0)
+    assert sum(len(chunk.stack) for chunk in walk.chunks()) == budget
+    assert sum(len(chunk.stack) for chunk in walk._kept) == budget
+    _assert_shared_walk(box, budget, tokens=tokens)
+    monkeypatch.setattr(oracle, "_WALK_ENTRIES", budget * (n * n + (1 << n) - 1) - 1)
+    walk = oracle._Walk(box, budget, 0)
+    for token in ("r0", "principally-nondegenerate"):
+        out = falsify(box, token, budget=budget, seed=0, walk=walk)
+        assert out.samples == budget and not out.found
+    assert walk._kept is None
+    _assert_shared_walk(box, budget, tokens=tokens)
+
+
+def test_shared_walk_memory_flat_in_budget():
+    # A walk past the entry bound keeps no chunks: from a budget just past
+    # the bound, an 8x larger budget adds less than one chunk to the peak.
+    # On this box R0 and nondegeneracy hold at every realization, so both
+    # walks run to the end of the budget.
+    n = 5
+    rng = np.random.default_rng(8)
+    box = lb.from_midpoint_radius(np.eye(n) + rng.uniform(-0.1, 0.1, (n, n)),
+                                  rng.uniform(0, 0.15, (n, n)))
+    verdicts = [PropertyVerdict(property=t, holds=True, method="forged",
+                                certificate=None, elapsed=0.0)
+                for t in ("r0", "principally-nondegenerate")]
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            report = lb.cross_validate(box, verdicts, budget=budget, seed=0)
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    budget = oracle._WALK_ENTRIES // (n * n + (1 << n) - 1) + 1
+    small, report = peak(budget)
+    assert [e.samples for e in report.entries] == [budget, budget]
+    large, report = peak(8 * budget)
+    assert [e.samples for e in report.entries] == [8 * budget, 8 * budget]
+    assert large - small < 8 * oracle._CHUNK_ENTRIES
 
 
 class TestCrossValidate:
