@@ -36,7 +36,6 @@ from .lcp import (
 )
 from .linalg import (
     SpectralResult,
-    determinant,
     inverse_nonnegative,
     is_irreducible,
     is_positive_definite,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intervals import IntervalMatrix, from_midpoint_radius
-from .linalg import det_sign
+from .linalg import minor_sign
 from .tolerances import LCP_TOL
 
 __all__ = [
@@ -87,7 +87,6 @@ def enumerate_lcp_solutions(instance: LcpInstance,
     if n > _ENUM_CAP:
         raise ValueError(f"basis enumeration supports n <= {_ENUM_CAP}")
     scale = 1.0 + float(np.max(np.abs(A))) + float(np.max(np.abs(q)))
-    ambient = float(np.max(np.abs(A)))
     solutions: list[LcpSolution] = []
     singular: list[tuple[int, ...]] = []
     from itertools import combinations
@@ -98,7 +97,7 @@ def enumerate_lcp_solutions(instance: LcpInstance,
             z = np.zeros(n)
             if idx:
                 block = A[np.ix_(idx, idx)]
-                if det_sign(block, scale=ambient) == 0:
+                if minor_sign(A, S) == 0:
                     singular.append(S)
                     continue
                 z_s = np.linalg.solve(block, -q[idx])

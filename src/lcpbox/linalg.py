@@ -1,9 +1,10 @@
-"""Dense numerical kernels: determinants with sign classification, Perron
+"""Dense numerical kernels: classified principal-minor signs, Perron
 spectral radius, definiteness tests, irreducibility, inverse nonnegativity.
 
 Everything operates on small dense matrices. Verdicts are tolerance
 classified with deterministic, scale-relative thresholds (see
-:mod:`lcpbox.tolerances`).
+:mod:`lcpbox.tolerances`). Every determinant is classified by the one
+zero rule of :func:`minor_sign` and its batched form.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .tolerances import EIG_TOL, PIVOT_TOL, POWER_MAX_ITER, POWER_TOL
 
 __all__ = [
     "SpectralResult",
-    "determinant",
-    "det_sign",
     "batch_det_signs",
     "batch_minor_signs",
     "spectral_radius_nonneg",
@@ -43,74 +42,34 @@ class SpectralResult:
     converged: bool
 
 
-def determinant(M, scale: float | None = None) -> float:
-    """Determinant via row-pivoted Gaussian elimination.
-
-    Returns 0.0 as soon as a pivot falls below the scale-relative pivot
-    tolerance, so the sign of the result is trustworthy up to that
-    classification. ``scale`` overrides the reference magnitude; pass the
-    ambient matrix's max|entry| when M is a principal submatrix so that
-    tiny blocks of a larger matrix classify consistently.
-    """
-    A = np.array(M, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1.0
-    own = float(np.max(np.abs(A)))
-    ref = own if scale is None else max(float(scale), own)
-    if ref == 0.0:
-        return 0.0
-    tol = PIVOT_TOL * ref
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[p, k]) <= tol:
-            return 0.0
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            det = -det
-        det *= A[k, k]
-        if k + 1 < n:
-            factors = A[k + 1 :, k] / A[k, k]
-            A[k + 1 :, k:] -= np.outer(factors, A[k, k:])
-    return det
+def _zero_bound(k: int, rows=()):
+    """The zero rule's bound PIVOT_TOL * k * prod_i rows[i] for a k-by-k
+    block with row maxima ``rows`` (scalars or arrays; unit rows when left
+    out), multiplied in row order so scalar and batched bounds are
+    bit-identical."""
+    bound = PIVOT_TOL * k
+    for m in rows:
+        bound = bound * m
+    return bound
 
 
-def det_sign(M, scale: float | None = None) -> int:
-    """Sign of the determinant in {-1, 0, +1}, pivot-tolerance classified."""
-    d = determinant(M, scale=scale)
-    if d > 0.0:
-        return 1
-    if d < 0.0:
-        return -1
-    return 0
+def _closed_form_minor(e, idx, hi):
+    """Determinant of the ``idx`` principal block for k <= 3 and its row
+    maxima of |entry|, each entry read through ``e(r, c)`` and each
+    pairwise maximum taken by ``hi``.
 
-
-def _minor_threshold(ref: float, k: int) -> float:
-    """Zero-classification bound of a k-by-k minor at reference magnitude
-    ``ref``: the one threshold :func:`minor_sign`,
-    :func:`batch_minor_signs` and :func:`batch_det_signs` share."""
-    return PIVOT_TOL * ref**k * k
-
-
-def _closed_form_minor(e, idx):
-    """Determinant of the ``idx`` principal block for k <= 3 and the
-    entries it reads, each read through ``e(r, c)``.
-
-    Works on scalars and on stacked entry arrays alike with one operation
-    order, which is what keeps the scalar and batched classifications
-    bit-identical.
+    Works on scalars (``hi=max``) and on stacked entry arrays
+    (``hi=np.maximum``) alike with one operation order, which is what keeps
+    the scalar and batched classifications bit-identical.
     """
     k = len(idx)
     if k == 1:
         d = e(idx[0], idx[0])
-        return d, (d,)
+        return d, (abs(d),)
     if k == 2:
         i, j = idx
         a, b, c, f = e(i, i), e(i, j), e(j, i), e(j, j)
-        return a * f - b * c, (a, b, c, f)
+        return a * f - b * c, (hi(abs(a), abs(b)), hi(abs(c), abs(f)))
     i, j, l = idx
     ii, ij, il = e(i, i), e(i, j), e(i, l)
     ji, jj, jl = e(j, i), e(j, j), e(j, l)
@@ -120,88 +79,68 @@ def _closed_form_minor(e, idx):
         - ij * (ji * ll - jl * li)
         + il * (ji * lj - jj * li)
     )
-    return d, (ii, ij, il, ji, jj, jl, li, lj, ll)
+    rows = tuple(hi(hi(abs(x), abs(y)), abs(z))
+                 for x, y, z in ((ii, ij, il), (ji, jj, jl), (li, lj, ll)))
+    return d, rows
 
 
-def minor_sign(M: np.ndarray, idx, scale: float) -> int:
-    """Classified determinant sign of a principal submatrix.
+def minor_sign(M: np.ndarray, idx) -> int:
+    """Classified sign of the ``idx`` principal minor of M: zero when
+    |det M_SS| <= PIVOT_TOL * k * prod_{i in S} max_{j in S} |m_ij|.
 
-    Closed-form determinants for blocks up to 3x3, the library determinant
-    beyond, always with the same value-based threshold as
-    :func:`batch_minor_signs` so block-wise sweeps and point-wise minor
-    tests classify identically. ``scale`` is the ambient matrix magnitude
-    (pass max|entry| of the full matrix when M is that matrix).
+    The library's one determinant zero rule. Hadamard's inequality keeps
+    |det| at most the product of the row 2-norms, so the bound is relative
+    to the block itself, and a positive row scaling cancels out of it.
+    Closed-form determinants for blocks up to 3x3, numpy's LU determinant
+    beyond, as in :func:`batch_minor_signs`.
     """
     k = len(idx)
     if k <= 3:
-        d, entries = _closed_form_minor(lambda r, c: M[r, c], idx)
-        d = float(d)
-        sub_max = float(max(abs(x) for x in entries))
+        d, rows = _closed_form_minor(lambda r, c: M[r, c], idx, max)
     else:
         sub = M[np.ix_(list(idx), list(idx))]
-        d = float(np.linalg.det(sub))
-        sub_max = float(np.max(np.abs(sub)))
-    ref = max(scale, sub_max, 1e-300)
-    if abs(d) <= _minor_threshold(ref, k):
+        d = np.linalg.det(sub)
+        rows = np.max(np.abs(sub), axis=1)
+    d = float(d)
+    if abs(d) <= _zero_bound(k, rows):
         return 0
     return 1 if d > 0 else -1
 
 
-def _stack_minor_signs(stack: np.ndarray, idx, ref: np.ndarray) -> np.ndarray:
-    """Classified signs of the ``idx`` principal minor of every matrix in
-    ``stack`` against the reference magnitudes ``ref`` (one per matrix).
-
-    The one batched zero rule: :func:`minor_sign`'s closed forms for blocks
-    up to 3x3 in the same operation order, the same library determinant
-    beyond, and :func:`_minor_threshold`. numpy's vectorized ``**`` can
-    differ from libm ``pow``, which the scalar threshold uses, in the last
-    bit, so the determinants within a relative 1e-12 of the vectorized
-    threshold are decided again with the scalar one.
-    """
+def _stack_minor_signs(stack: np.ndarray, idx) -> np.ndarray:
+    """:func:`minor_sign` of the ``idx`` principal minor of every matrix in
+    ``stack`` (V, n, n): the same closed forms in the same operation order,
+    the same determinant beyond, and the same row-order bound. Both batched
+    entry points call this and not each other, so a profiler that wraps
+    them by name counts each matrix once."""
+    stack = np.asarray(stack, dtype=float)
     k = len(idx)
     if k <= 3:
-        d, _ = _closed_form_minor(lambda r, c: stack[:, r, c], idx)
-    elif k == stack.shape[-1] and list(idx) == list(range(k)):
-        d = np.linalg.det(stack)
+        d, rows = _closed_form_minor(lambda r, c: stack[:, r, c], idx,
+                                     np.maximum)
     else:
-        d = np.linalg.det(stack[:, list(idx)][:, :, list(idx)])
-    size = np.abs(d)
-    thresh = PIVOT_TOL * ref**k * k
-    zero = size <= thresh
-    near = np.abs(size - thresh) <= np.maximum(1e-12 * thresh, 1e-300)
-    for v in np.flatnonzero(near).tolist():
-        zero[v] = size[v] <= _minor_threshold(float(ref[v]), k)
+        if k == stack.shape[-1] and list(idx) == list(range(k)):
+            sub = stack
+        else:
+            sub = stack[:, list(idx)][:, :, list(idx)]
+        d = np.linalg.det(sub)
+        rows = np.max(np.abs(sub), axis=2).T
     signs = np.where(d > 0, 1, -1)
-    signs[zero] = 0
+    signs[np.abs(d) <= _zero_bound(k, rows)] = 0
     return signs
 
 
 def batch_minor_signs(stack: np.ndarray, idx) -> np.ndarray:
     """Classified signs of the ``idx`` principal minor of every matrix in
-    a stack of shape (V, n, n).
-
-    Element v equals ``minor_sign(stack[v], idx, max|stack[v]|)`` exactly
-    (see :func:`_stack_minor_signs`). A block's max|entry| never exceeds
-    its matrix's, so the reference magnitude is max(max|stack[v]|, 1e-300).
-    """
-    stack = np.asarray(stack, dtype=float)
-    ref = np.maximum(np.max(np.abs(stack), axis=(-2, -1)), 1e-300)
-    return _stack_minor_signs(stack, idx, ref)
+    a stack of shape (V, n, n); element v equals ``minor_sign(stack[v],
+    idx)`` exactly."""
+    return _stack_minor_signs(stack, idx)
 
 
-def batch_det_signs(stack: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Classified determinant signs of a stack of k-by-k matrices.
-
-    Element v equals ``minor_sign(stack[v], range(k), scale or 0.0)``
-    exactly (see :func:`_stack_minor_signs`): ``scale`` is the ambient
-    magnitude of the matrix the blocks sit in, as in :func:`minor_sign`.
-    """
-    stack = np.asarray(stack, dtype=float)
-    k = stack.shape[-1]
-    ref = np.max(np.abs(stack), axis=(-2, -1))
-    if scale is not None:
-        ref = np.maximum(ref, float(scale))
-    return _stack_minor_signs(stack, range(k), np.maximum(ref, 1e-300))
+def batch_det_signs(stack: np.ndarray) -> np.ndarray:
+    """Classified determinant signs of a stack of k-by-k matrices:
+    ``batch_minor_signs(stack, range(k))``."""
+    return _stack_minor_signs(stack, range(np.shape(stack)[-1]))
 
 
 def _strong_components(adj: np.ndarray) -> list[list[int]]:
@@ -360,7 +299,7 @@ def inverse_nonnegative(M, tol: float = EIG_TOL) -> bool:
     """True iff M is nonsingular (to tolerance) with entrywise nonnegative
     inverse. Singular input returns False rather than raising."""
     A = np.asarray(M, dtype=float)
-    if det_sign(A) == 0:
+    if minor_sign(A, range(A.shape[0])) == 0:
         return False
     try:
         inv = np.linalg.inv(A)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DimensionCapError
 from .intervals import nonempty_subsets, disjoint_index_pairs, point_comparison_matrix
 from .linalg import (
-    det_sign,
     is_positive_definite,
     is_positive_semidefinite,
     minor_sign,
@@ -77,12 +76,10 @@ class PointProperty(Enum):
 
     @classmethod
     def from_token(cls, token) -> "PointProperty":
-        if isinstance(token, cls):
-            return token
-        for member in cls:
-            if member.value == token:
-                return member
-        raise ValueError(f"unknown property token {token!r}")
+        try:
+            return cls(token)
+        except ValueError:
+            raise ValueError(f"unknown property token {token!r}") from None
 
 
 def _square(A) -> np.ndarray:
@@ -159,8 +156,7 @@ def is_nonsingular(A) -> bool:
     """Tolerance-classified nonzero determinant (the same classification the
     principal-minor tests use for the full support)."""
     M = _square(A)
-    return minor_sign(M, tuple(range(M.shape[0])),
-                      float(np.max(np.abs(M), initial=0.0))) != 0
+    return minor_sign(M, tuple(range(M.shape[0]))) != 0
 
 
 def is_PD(A) -> bool:
@@ -204,7 +200,7 @@ def copositive_minimum(A, cap: int = CAP_POINT_ENUM,
         K[k, :k] = 1.0
         rhs = np.zeros(k + 1)
         rhs[k] = 1.0
-        if det_sign(K) != 0:
+        if minor_sign(K, range(k + 1)) != 0:
             sol = np.linalg.solve(K, rhs)
             xs = sol[:k]
             if np.min(xs) < -slack:
@@ -349,9 +345,8 @@ def principal_minor_witness(A, require_positive: bool,
     M = _square(A)
     n = M.shape[0]
     _check_cap(n, cap, override_cap)
-    ambient = float(np.max(np.abs(M), initial=0.0))
     for I in nonempty_subsets(n):
-        sign = minor_sign(M, I, ambient)
+        sign = minor_sign(M, I)
         if sign == 0 or (require_positive and sign < 0):
             return I, sign
     return None
@@ -404,7 +399,6 @@ def _index_witness(A, with_t: bool, cap: int, override_cap: bool):
     n = M.shape[0]
     _check_cap(n, cap, override_cap)
     ztol = _ztol(M)
-    ambient = float(np.max(np.abs(M), initial=0.0))
     for I in nonempty_subsets(n):
         J = [j for j in range(n) if j not in I]
         idx = list(I)
@@ -417,7 +411,7 @@ def _index_witness(A, with_t: bool, cap: int, override_cap: bool):
                     and (not J or np.min(M[J, I[0]] - shift) >= -ztol)):
                 return I, np.array([1.0]), max(0.0, -float(shift))
             continue
-        if minor_sign(M, I, ambient) != 0:
+        if minor_sign(M, I) != 0:
             # A_II x = 0 with x > 0 needs a singular block, so R0 skips it.
             # For R, t = 0 would force x = 0, so t > 0 and x = -t * w with
             # w = A_II^{-1} e; feasibility is closed form. The row

@@ -14,6 +14,9 @@ against the point-level definitions before reporting.
 
 The properties with fast paths are decided through one driver,
 :func:`_decide`; strong R0 is the t = 0 case of the strong R systems.
+Every determinant sign, in the sign-vertex sweeps and the singular-block
+bisection alike, is classified by :func:`lcpbox.linalg.minor_sign`'s zero
+rule, which reads only the block's own rows.
 """
 
 from __future__ import annotations
@@ -38,9 +41,8 @@ from .intervals import (
     signed_vertex,
 )
 from .linalg import (
-    _minor_threshold,
+    _zero_bound,
     batch_det_signs,
-    determinant,
     is_irreducible,
     is_positive_definite,
     is_positive_semidefinite,
@@ -278,10 +280,11 @@ def _strongly_p(box: IntervalMatrix, config: CheckConfig, notes,
     C is certified by v = C^-1 e alone: v > 0 and Cv > 1e-9 |C|v row by
     row. With ``minors`` every principal minor must also clear the zero
     rule: Ostrowski's bound gives det A_SS >= det C_SS >= prod_{i in S} r_i
-    with r = Cv / v for every realization A, so the product of the k
-    smallest r_i must exceed twice the k-by-k threshold at the box's
-    max|entry|. Never fails a box: when a test does not pass, the later
-    routes decide.
+    with r = Cv / v for every realization A, and the rule's bound for A_SS
+    is at most PIVOT_TOL * k * prod_{i in S} m_i with m_i the box's row
+    maxima of |entry|, so the product of the k smallest r_i / m_i must
+    exceed twice PIVOT_TOL * k. Never fails a box: when a test does not
+    pass, the later routes decide.
     """
     if not np.all(np.diag(box.lower) > 0.0):
         return None
@@ -294,9 +297,9 @@ def _strongly_p(box: IntervalMatrix, config: CheckConfig, notes,
     if not (np.all(v > 0.0) and np.all(Cv > 1e-9 * (np.abs(C) @ v))):
         return None
     if minors:
-        ref = float(max(np.max(np.abs(box.lower)), np.max(np.abs(box.upper))))
-        bound = np.cumprod(np.sort(Cv / v))
-        if any(bound[k - 1] <= 2.0 * _minor_threshold(ref, k)
+        rows = np.max(np.maximum(np.abs(box.lower), np.abs(box.upper)), axis=1)
+        bound = np.cumprod(np.sort(Cv / (v * rows)))
+        if any(bound[k - 1] <= 2.0 * _zero_bound(k)
                for k in range(1, box.n + 1)):
             return None
     return True, "fast:strong-H-positive-diagonal", None, False
@@ -598,15 +601,11 @@ _SWEEP_CHUNK = 1024
 
 
 def _vertex_sign_sweep(mid_sub: np.ndarray, rad_sub: np.ndarray,
-                       mid_sign: int, scale_floor: float):
+                       mid_sign: int):
     """Scan det(mid - D_y rad D_z) over sign pairs (up to (y,z) ~ (-y,-z));
     return the first (y, z, det) whose product with the midpoint sign is
-    not positive, or None.
-
-    ``scale_floor`` is the magnitude of the realization entries outside the
-    block (zero for a full-support sweep), so each determinant classifies
-    against the full realization's ambient scale -- the same classification
-    the point-level minor test applies.
+    not positive, or None. The zero rule reads only the block, so each
+    determinant classifies as the point-level minor test does.
 
     The vertices of several consecutive y go to one :func:`batch_det_signs`
     call, at most ``_SWEEP_CHUNK`` matrices (or one y's 2^k) at a time, in
@@ -622,7 +621,7 @@ def _vertex_sign_sweep(mid_sub: np.ndarray, rad_sub: np.ndarray,
         vertices = (mid_sub[None, None, :, :]
                     - y_rad[:, None, :, :] * z_rows[None, :, None, :]
                     ).reshape(-1, k, k)
-        signs = batch_det_signs(vertices, scale=scale_floor)
+        signs = batch_det_signs(vertices)
         bad = np.nonzero(signs * mid_sign <= 0)[0]
         if bad.size:
             j = int(bad[0])
@@ -643,17 +642,14 @@ def _bisect_singular_block(box: IntervalMatrix, y: np.ndarray, z: np.ndarray,
     if len(idx) == 1:
         # The singular realization is explicit: the diagonal interval of a
         # flagged singleton support straddles zero, so set the entry to an
-        # exact zero (a self-scaled 1x1 block never classifies as zero).
+        # exact zero (the zero rule calls a 1x1 block zero only there).
         i = idx[0]
         A = box.midpoint.copy()
         A[i, i] = 0.0
         return A
 
     def sign_at(t: float) -> int:
-        # Classify with the realization's own ambient magnitude so the
-        # result matches the standalone principal-minor test exactly.
-        R = box.midpoint - t * step
-        return minor_sign(R, tuple(idx), float(np.max(np.abs(R))))
+        return minor_sign(box.midpoint - t * step, support)
 
     s0 = sign_at(0.0)
     lo_t, hi_t = 0.0, 1.0
@@ -671,24 +667,19 @@ def _bisect_singular_block(box: IntervalMatrix, y: np.ndarray, z: np.ndarray,
     return box.midpoint - hi_t * step
 
 
-def _support_failure(box: IntervalMatrix, support: tuple[int, ...],
-                     ambient_mid: float) -> dict | None:
+def _support_failure(box: IntervalMatrix,
+                     support: tuple[int, ...]) -> dict | None:
     """Where the ``support`` principal minor first loses the midpoint's
     nonzero sign over the box: None when it never does, ``{}`` when the
     midpoint minor is already zero, else y, z, the vertex determinant and
     a singular realization from the sign-vertex sweep."""
     n = box.n
     idx = list(support)
-    s_mid = minor_sign(box.midpoint, support, ambient_mid)
+    s_mid = minor_sign(box.midpoint, support)
     if s_mid == 0:
         return {}
-    # Realization entries outside the support stay at the midpoint; their
-    # magnitude is the classification floor for the block determinants.
-    outside = np.ones((n, n), dtype=bool)
-    outside[np.ix_(idx, idx)] = False
-    floor = float(np.max(np.abs(box.midpoint[outside]), initial=0.0))
     hit = _vertex_sign_sweep(box.midpoint[np.ix_(idx, idx)],
-                             box.radius[np.ix_(idx, idx)], s_mid, floor)
+                             box.radius[np.ix_(idx, idx)], s_mid)
     if hit is None:
         return None
     y_sub, z_sub, d_vertex = hit
@@ -709,13 +700,12 @@ def strong_nonsingular(box: IntervalMatrix,
     n = box.n
     _check_cap(n, config.cap_sign_vertex, "sign-vertex", config)
     method = "general:sign-vertex-determinants"
-    fail = _support_failure(box, tuple(range(n)),
-                            float(np.max(np.abs(box.midpoint))))
+    fail = _support_failure(box, tuple(range(n)))
     if fail is None:
         return _finish("nonsingular", True, method, None, t0)
     if fail:
         cert = {**fail, "vertex": signed_vertex(box, fail["y"], fail["z"]),
-                "midpoint_determinant": determinant(box.midpoint)}
+                "midpoint_determinant": float(np.linalg.det(box.midpoint))}
         return _finish("nonsingular", False, method, cert, t0)
     notes = []
     if float(np.linalg.det(box.midpoint)) != 0.0:
@@ -729,9 +719,8 @@ def _nondegenerate_general(box, config, notes):
     n = box.n
     _check_cap(n, config.cap_nondegenerate, "nondegeneracy", config)
     method = "general:support-sign-determinants"
-    ambient_mid = float(np.max(np.abs(box.midpoint)))
     for support in nonempty_subsets(n):
-        fail = _support_failure(box, support, ambient_mid)
+        fail = _support_failure(box, support)
         if fail is None:
             continue
         if not fail:
@@ -753,10 +742,9 @@ def _leading_minor_witness(box: IntervalMatrix, y: np.ndarray,
     towards the lower bound; bisection finds the singular realization.
     """
     lower_scaled = np.outer(y, z) * box.midpoint - box.radius
-    scale = float(np.max(np.abs(lower_scaled)))
     for k in range(1, box.n + 1):
         support = tuple(range(k))
-        if minor_sign(lower_scaled, support, scale) <= 0:
+        if minor_sign(lower_scaled, support) <= 0:
             realization = _bisect_singular_block(box, y, z, support)
             return {"support": support, "y": y, "z": z,
                     "realization": realization}

@@ -6,7 +6,11 @@ tolerances are scale-relative; spectral-radius threshold comparisons are
 absolute.
 """
 
-# Factorization pivots: |pivot| <= PIVOT_TOL * max|entry| classifies as zero.
+# The determinant zero rule (lcpbox.linalg.minor_sign): a k-by-k principal
+# minor is zero when |det A_SS| <= PIVOT_TOL * k * prod_{i in S} max_{j in S}
+# |a_ij|, a bound relative to the block's own rows, so positive row scaling
+# cancels out of it. Cholesky pivots of is_positive_definite use it relative
+# to max|entry|.
 PIVOT_TOL = 1e-10
 
 # Eigenvalue / semidefiniteness: lambda_min >= -EIG_TOL * ||M||_inf passes.

@@ -36,3 +36,19 @@ def test_lp_systems_are_built_outside_the_strong_module():
     import lcpbox.strong as strong
     assert [name for name in ("LinearSystem", "LE", "GE", "EQ")
             if hasattr(strong, name)] == []
+
+
+def test_one_determinant_zero_rule():
+    # Every determinant is classified by lcpbox.linalg.minor_sign and its
+    # batched form; the pivoted determinant, its own threshold and the
+    # pivot tolerance live nowhere else.
+    import lcpbox
+    import lcpbox.cli  # noqa: F401  (loads every module)
+    import lcpbox.linalg as linalg
+    assert [name for name in ("determinant", "det_sign", "_minor_threshold")
+            if hasattr(linalg, name)] == []
+    binders = sorted(name for name, module in sys.modules.items()
+                     if (name == "lcpbox" or name.startswith("lcpbox."))
+                     and hasattr(module, "PIVOT_TOL"))
+    assert binders == ["lcpbox.linalg", "lcpbox.tolerances"]
+    assert not hasattr(lcpbox, "determinant")

@@ -5,11 +5,10 @@ import pytest
 
 import lcpbox as lb
 from lcpbox.linalg import (
-    _minor_threshold,
     _perron_root_irreducible,
+    _zero_bound,
     batch_det_signs,
     batch_minor_signs,
-    det_sign,
     minor_sign,
     symmetric_part,
 )
@@ -47,76 +46,81 @@ def charpoly_coeffs(N):
 
 class TestDeterminant:
     def test_identity(self):
-        assert lb.determinant(np.eye(3)) == pytest.approx(1.0)
+        assert minor_sign(np.eye(3), range(3)) == 1
 
     def test_structurally_singular(self):
-        assert lb.determinant([[0, -1], [0, 0]]) == 0.0
+        assert minor_sign(np.array([[0.0, -1.0], [0.0, 0.0]]), (0, 1)) == 0
 
     def test_reference_4x4_against_cofactor_oracle(self, a_ref):
         # frozen from exact cofactor expansion of the converted QP matrix
         assert cofactor_det(a_ref) == pytest.approx(1.0, abs=1e-12)
-        assert lb.determinant(a_ref) == pytest.approx(1.0, rel=1e-10)
+        assert minor_sign(np.asarray(a_ref, dtype=float), range(4)) == 1
 
     def test_random_against_cofactor_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             M = rng.uniform(-3, 3, (4, 4))
-            assert lb.determinant(M) == pytest.approx(cofactor_det(M), rel=1e-9)
+            assert minor_sign(M, range(4)) == np.sign(cofactor_det(M))
 
     def test_permutation_flips_sign(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             M = rng.uniform(-2, 2, (4, 4))
             P = np.eye(4)[[1, 0, 2, 3]]
-            assert lb.determinant(P @ M) == pytest.approx(-lb.determinant(M), rel=1e-9)
+            assert minor_sign(P @ M, range(4)) == -minor_sign(M, range(4)) != 0
 
     def test_batch_matches_scalar_signs(self):
         rng = np.random.default_rng(2)
         stack = rng.uniform(-2, 2, (40, 3, 3))
         signs = batch_det_signs(stack)
         for k in range(40):
-            assert signs[k] == det_sign(stack[k])
+            assert signs[k] == minor_sign(stack[k], range(3))
 
     def test_batch_det_signs_match_minor_sign(self):
         # One zero rule: the sign sweep's kernel classifies each matrix as
-        # the scalar minor test does, at every block size and ambient scale.
+        # the scalar minor test does, at every block size.
         rng = np.random.default_rng(8)
         zeros = 0
         for k in range(1, 8):
-            # diag(r, 1, .., x) with det r*x within an ulp or two of the
-            # threshold at reference magnitude r, where numpy's vectorized
-            # ** and libm's pow can disagree in the last bit.
-            r = np.repeat(rng.uniform(1.0, 3.0, 200), 3)
-            x = np.array([_minor_threshold(v, k) / v for v in r])
-            x[0::3] = np.nextafter(x[0::3], 0.0)
-            x[2::3] = np.nextafter(x[2::3], 1.0)
-            near = np.tile(np.eye(k), (len(r), 1, 1))
-            near[:, 0, 0] = r
-            near[:, -1, -1] *= x
+            # The identity with last row 2^p * (1, 0, .., 0, x): the
+            # determinant is 2^p * x and the bound PIVOT_TOL * k * 2^p,
+            # with x at the bound and one ulp either side. Both are exact
+            # in the closed forms (k <= 3); numpy's determinant beyond goes
+            # through a logarithm, so there only the agreement is pinned.
+            bound = _zero_bound(k)
+            x = np.tile([np.nextafter(bound, 0.0), bound,
+                         np.nextafter(bound, 1.0)], 100)
+            near = np.tile(np.eye(k), (len(x), 1, 1))
+            near[:, -1, 0] = 1.0
+            near[:, -1, -1] = x
+            near[:, -1, :] *= np.exp2(rng.integers(-30, 31, len(x)))[:, None]
+            if 2 <= k <= 3:
+                expected = np.tile([0, 0, 1], 100)
+                assert batch_det_signs(near).tolist() == expected.tolist()
             for stack in (rng.uniform(-2, 2, (40, k, k)),
                           rng.integers(-1, 2, (80, k, k)).astype(float), near):
-                above = 2.0 * float(np.max(np.abs(stack)))
-                for scale in (0.0, above):
-                    batch = batch_det_signs(stack, scale).tolist()
-                    scalar = [minor_sign(M, range(k), scale) for M in stack]
-                    assert batch == scalar, (k, scale)
-                    zeros += scalar.count(0)
-                assert batch_det_signs(stack).tolist() == \
-                    batch_det_signs(stack, 0.0).tolist()
+                batch = batch_det_signs(stack).tolist()
+                scalar = [minor_sign(M, range(k)) for M in stack]
+                assert batch == scalar, k
+                zeros += scalar.count(0)
         assert zeros > 0
 
-    def test_minor_sign_matches_det_sign(self):
+    def test_minor_sign_matches_cofactor_sign(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             M = rng.uniform(-2, 2, (4, 4))
-            amb = float(np.max(np.abs(M)))
             for idx in [(0,), (1, 3), (0, 1, 2), (0, 1, 2, 3)]:
                 sub = M[np.ix_(list(idx), list(idx))]
-                assert minor_sign(M, idx, amb) == det_sign(sub, scale=amb)
+                assert minor_sign(M, idx) == np.sign(cofactor_det(sub))
 
-    def test_tiny_submatrix_classifies_with_ambient_scale(self):
-        M = np.array([[1.0, 2.0], [2.0, 1e-14]])
-        assert minor_sign(M, (1,), float(np.max(np.abs(M)))) == 0
+    def test_tiny_entry_in_large_row_classifies_zero(self):
+        # det = 1e-14 against the bound 2e-10 * 1 * 1 of rows (1e-14, 1)
+        # and (0, 1); the 1x1 block alone is its own scale, so nonzero.
+        M = np.array([[1e-14, 1.0], [0.0, 1.0]])
+        assert minor_sign(M, (0, 1)) == 0
+        assert minor_sign(M, (0,)) == 1
+        for scale in (1e-7, 1e7):
+            assert minor_sign(np.array([[scale], [1.0]]) * M, (0, 1)) == 0
 
     @staticmethod
     def _assert_batch_matches_scalar(stack):
@@ -124,8 +128,7 @@ class TestDeterminant:
         for k in range(1, n + 1):
             for idx in combinations(range(n), k):
                 batch = batch_minor_signs(stack, idx)
-                scalar = [minor_sign(M, idx, float(np.max(np.abs(M))))
-                          for M in stack]
+                scalar = [minor_sign(M, idx) for M in stack]
                 assert batch.tolist() == scalar, (n, idx)
 
     def test_batch_minor_signs_match_scalar_random(self):
@@ -139,14 +142,16 @@ class TestDeterminant:
         for n in range(1, 6):
             stack = rng.integers(-1, 2, (80, n, n)).astype(float)
             self._assert_batch_matches_scalar(stack)
-            zero = [minor_sign(M, tuple(range(n)), float(np.max(np.abs(M))))
-                    == 0 for M in stack]
+            zero = [minor_sign(M, tuple(range(n))) == 0 for M in stack]
             assert any(zero), n  # singular members are present at every n
 
     def test_batch_minor_signs_tiny_submatrix(self):
-        M = np.array([[1.0, 2.0], [2.0, 1e-14]])
-        stack = np.stack([M, np.array([[1e-14, 0.0], [0.0, 1e-14]]), -M])
-        assert batch_minor_signs(stack, (1,)).tolist() == [0, 1, 0]
+        # A tiny entry in a large row is zero, a uniformly tiny row is not.
+        M = np.array([[1e-14, 1.0], [0.0, 1.0]])
+        stack = np.stack([M, np.array([[1e-14, 1e-14], [0.0, 1.0]]),
+                          np.diag([-1.0, 1.0]) @ M])
+        assert batch_minor_signs(stack, (0, 1)).tolist() == [0, 1, 0]
+        assert batch_minor_signs(stack, (0,)).tolist() == [1, 1, -1]
         self._assert_batch_matches_scalar(stack)
 
 

@@ -9,6 +9,7 @@ must survive re-verification even on badly scaled boxes.
 import numpy as np
 
 import lcpbox as lb
+from lcpbox.pointclasses import is_nonsingular
 from lcpbox.strong import ALL_STRONG_PROPERTIES
 
 POINT_CHECKS = (
@@ -79,3 +80,37 @@ def test_strong_verdicts_invariant_under_permutation_and_scaling():
             base, permuted, scaled = (lb.check_property(b, prop).holds
                                       for b in boxes)
             assert base == permuted == scaled, (prop, mid, rad, p, c)
+
+
+def test_determinant_verdicts_invariant_under_row_scaling():
+    # D A with D = diag(10^U(-7, 0)) scales every principal minor and the
+    # zero rule's bound, the product of the block's row maxima, by the
+    # same factor, so no determinant-based verdict may change. Integer
+    # matrices bring exact zero minors, and every other box has a
+    # dominant diagonal, so that each verdict holds on some inputs and
+    # fails on others.
+    rng = np.random.default_rng(4)
+    point = (is_nonsingular, lb.is_principally_nondegenerate, lb.is_P)
+    seen = set()
+    for k in range(80):
+        n = int(rng.integers(1, 5))
+        A = (rng.integers(-1, 2, (n, n)).astype(float) if k % 2
+             else rng.uniform(-2, 2, (n, n)))
+        D = 10.0 ** rng.uniform(-7.0, 0.0, n)
+        for check in point:
+            base = check(A)
+            assert check(D[:, None] * A) == base, (check.__name__, A, D)
+            seen.add((check.__name__, base))
+    for k in range(60):
+        mid = rng.uniform(-2, 2, (3, 3))
+        rad = rng.uniform(0, 1, (3, 3))
+        if k % 2:
+            mid, rad = 2.5 * np.eye(3) - np.abs(mid) / 2, rad / 4
+        D = 10.0 ** rng.uniform(-7.0, 0.0, 3)[:, None]
+        boxes = (lb.from_midpoint_radius(mid, rad),
+                 lb.from_midpoint_radius(D * mid, D * rad))
+        for prop in ("nonsingular", "principally-nondegenerate"):
+            base, scaled = (lb.check_property(b, prop).holds for b in boxes)
+            assert base == scaled, (prop, mid, rad, D)
+            seen.add((prop, base))
+    assert len(seen) == 10  # every verdict both holds and fails somewhere

@@ -7,7 +7,7 @@ import pytest
 import lcpbox as lb
 from lcpbox.errors import DimensionCapError, FastPathUnavailableError
 from lcpbox.intervals import sign_vectors
-from lcpbox.linalg import batch_det_signs, det_sign
+from lcpbox.linalg import batch_det_signs, minor_sign
 from lcpbox.pointclasses import is_nonsingular
 from lcpbox.strong import (
     _SWEEP_CHUNK,
@@ -173,7 +173,7 @@ class TestStrongNonsingular:
         v = lb.strong_nonsingular(box)
         assert not v.holds
         A = v.certificate["realization"]
-        assert box.contains(A, tol=1e-9) and det_sign(A) == 0
+        assert box.contains(A, tol=1e-9) and minor_sign(A, (0, 1)) == 0
 
     def test_smaller_radius_holds(self):
         box = lb.from_midpoint_radius(np.eye(2), 0.4 * np.ones((2, 2)))
@@ -310,13 +310,13 @@ class TestStrongNondegenerate:
             assert fast.holds == slow.holds
 
 
-def _per_y_sweep(mid, rad, mid_sign, floor):
+def _per_y_sweep(mid, rad, mid_sign):
     """Reference sign sweep: one batch_det_signs call per sign vector y."""
     z_rows = np.array(list(sign_vectors(mid.shape[0])))
     for a, y in enumerate(sign_vectors(mid.shape[0], half=True)):
         y_rad = y[:, None] * rad
         vertices = mid[None, :, :] - y_rad[None, :, :] * z_rows[:, None, :]
-        bad = np.nonzero(batch_det_signs(vertices, scale=floor) * mid_sign <= 0)[0]
+        bad = np.nonzero(batch_det_signs(vertices) * mid_sign <= 0)[0]
         if bad.size:
             j = int(bad[0])
             return a, y, z_rows[j], float(np.linalg.det(vertices[j]))
@@ -337,17 +337,16 @@ class TestVertexSignSweep:
             np.fill_diagonal(mid, rng.integers(2, 4, k))
             rad = (rng.random((k, k)) < 0.15).astype(float)
             mid_sign = int(np.sign(np.linalg.det(mid)))
-            for floor in (0.0, 3.0):
-                ref = _per_y_sweep(mid, rad, mid_sign, floor)
-                got = _vertex_sign_sweep(mid, rad, mid_sign, floor)
-                if ref is None:
-                    assert got is None
-                    continue
-                a, y, z, det = ref
-                assert np.array_equal(got[0], y) and np.array_equal(got[1], z)
-                assert got[2] == det
-                hits += 1
-                late += a >= ys_per_call
+            ref = _per_y_sweep(mid, rad, mid_sign)
+            got = _vertex_sign_sweep(mid, rad, mid_sign)
+            if ref is None:
+                assert got is None
+                continue
+            a, y, z, det = ref
+            assert np.array_equal(got[0], y) and np.array_equal(got[1], z)
+            assert got[2] == det
+            hits += 1
+            late += a >= ys_per_call
         assert hits > 0 and late > 0
 
 
@@ -579,16 +578,21 @@ class TestVerdictInfrastructure:
 STRONGLY_P = "fast:strong-H-positive-diagonal"
 
 
-def _strongly_h_box(rng, n, factor, row_scale=None):
+def _strongly_h_box(rng, n, factor, row_scale=None, m_midpoint=False):
     """A box whose comparison matrix is diagonally dominant by ``factor``
     in every row, with a positive lower diagonal. Midpoint entry (1, 2) is
     positive and (2, 1) negative, so no sign scaling makes the midpoint a
-    Z-matrix and only the strongly-H fast path can apply. Row i is scaled
-    by ``row_scale[i]`` when given."""
+    Z-matrix and only the strongly-H fast path can apply; with
+    ``m_midpoint`` every off-diagonal midpoint entry is negative instead,
+    so the midpoint is an M-matrix. Row i is scaled by ``row_scale[i]``
+    when given."""
     mid = rng.uniform(-1.0, 1.0, (n, n))
     rad = rng.uniform(0.0, 0.5, (n, n))
-    mid[0, 1] = abs(mid[0, 1]) + 0.1
-    mid[1, 0] = -abs(mid[1, 0]) - 0.1
+    if m_midpoint:
+        mid = -np.abs(mid)
+    else:
+        mid[0, 1] = abs(mid[0, 1]) + 0.1
+        mid[1, 0] = -abs(mid[1, 0]) - 0.1
     reach = np.abs(mid) + rad
     np.fill_diagonal(reach, 0.0)
     diag_rad = rng.uniform(0.0, 0.1, n)
@@ -663,6 +667,43 @@ class TestStronglyP:
         assert _strongly_p(box, config, [], minors=True) is None
         for prop in DEFAULT_CHECK_PROPERTIES:
             assert lb.check_property(box, prop).method != STRONGLY_P
+
+    def test_minor_bound_is_scale_invariant(self):
+        # The minor bound compares ratios to the box's row maxima, so a
+        # power-of-two scaling of the whole box, exact in floating point,
+        # leaves the decision as it is, including on the boxes it rejects.
+        rejected = 0
+        for box in _seeded_strongly_h_boxes(60, seed=7):
+            base = _strongly_p(box, CheckConfig(), [], minors=True)
+            rejected += base is None
+            for c in (2.0 ** -20, 2.0 ** 20):
+                scaled = lb.from_bounds(c * box.lower, c * box.upper)
+                assert _strongly_p(scaled, CheckConfig(), [], minors=True) == base
+        assert rejected > 0
+
+    def test_row_scaled_boxes_are_nondegenerate(self):
+        # Every realization of these boxes is a P-matrix, half of them
+        # row-scaled by down to 1e-7: the zero rule is relative to each
+        # block's rows, so no minor is called zero on either route.
+        for box in _seeded_strongly_h_boxes(300, seed=1):
+            for config in (None, GENERAL):
+                v = lb.check_property(box, "principally-nondegenerate", config)
+                assert v.holds, (box.n, v.method)
+
+    def test_row_scaled_m_midpoint_boxes_cross_validate(self):
+        # The midpoint-M fast path and the falsifier's minor signs agree on
+        # row-scaled boxes whose realizations are all P-matrices.
+        rng = np.random.default_rng(17)
+        for i in range(100):
+            n = 2 + i % 4
+            factor = 1.0 + 10.0 ** rng.uniform(-8.0, 0.3, n)
+            box = _strongly_h_box(rng, n, factor, 10.0 ** rng.uniform(-7.0, 0.0, n),
+                                  m_midpoint=True)
+            auto = lb.check_property(box, "principally-nondegenerate")
+            off = lb.check_property(box, "principally-nondegenerate", GENERAL)
+            assert auto.holds and off.holds, (auto.method, off.method)
+            report = lb.cross_validate(box, [auto], budget=256, seed=0)
+            assert report.entries[0].status == "consistent", auto.method
 
     def test_fast_only_decides_benchmark_style_boxes(self):
         # The strongly H boxes of the general-n5to7 workload: factor 1.2-2.
