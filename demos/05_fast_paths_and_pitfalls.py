@@ -19,7 +19,7 @@ import lcpbox as lb
 
 rad = np.array([[0.2, 0.3], [0.1, 0.2]])
 box = lb.from_midpoint_radius(np.eye(2), rad)
-rho = lb.spectral_radius_nonneg(rad).rho
+rho = lb.spectral_radius_nonneg(rad)
 print(f"identity midpoint, rho(radius) = {rho:.6f}")
 for token in ("copositive", "semimonotone", "principally-nondegenerate",
               "r0", "r", "column-sufficient"):
@@ -29,7 +29,7 @@ print()
 
 # Push the radius across the threshold: everything strict flips at rho = 1.
 big = lb.from_midpoint_radius(np.eye(2), 2.6 * rad)
-rho_big = lb.spectral_radius_nonneg(big.radius).rho
+rho_big = lb.spectral_radius_nonneg(big.radius)
 print(f"radius scaled up: rho = {rho_big:.6f}")
 for token in ("semimonotone", "r0"):
     verdict = lb.check_property(big, token)
@@ -39,7 +39,7 @@ print()
 # The cautionary reducible-radius box.
 tricky = lb.from_midpoint_radius(np.eye(2), [[1.0, 1.0], [0.0, 1.0]])
 print("reducible radius [[1,1],[0,1]] around the identity:")
-print(f"  rho(radius) = {lb.spectral_radius_nonneg(tricky.radius).rho:.1f}"
+print(f"  rho(radius) = {lb.spectral_radius_nonneg(tricky.radius):.1f}"
       " (the naive threshold 'rho <= 1' would say: robust)")
 verdict = lb.check_property(tricky, "column-sufficient")
 print(f"  strong column-sufficient: {verdict.holds} via {verdict.method}")

@@ -35,7 +35,6 @@ from .lcp import (
     solve_lcp_enumerate,
 )
 from .linalg import (
-    SpectralResult,
     inverse_nonnegative,
     is_irreducible,
     is_positive_definite,

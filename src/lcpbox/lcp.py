@@ -74,8 +74,7 @@ class LcpEnumeration:
     singular_supports: tuple[tuple[int, ...], ...]
 
 
-def enumerate_lcp_solutions(instance: LcpInstance,
-                            tol: float = LCP_TOL) -> LcpEnumeration:
+def enumerate_lcp_solutions(instance: LcpInstance) -> LcpEnumeration:
     """All complementary solutions by support-pattern enumeration.
 
     Supports are swept by increasing cardinality (lexicographic within);
@@ -86,7 +85,7 @@ def enumerate_lcp_solutions(instance: LcpInstance,
     n = instance.n
     if n > _ENUM_CAP:
         raise ValueError(f"basis enumeration supports n <= {_ENUM_CAP}")
-    scale = 1.0 + float(np.max(np.abs(A))) + float(np.max(np.abs(q)))
+    slack = LCP_TOL * (1.0 + float(np.max(np.abs(A))) + float(np.max(np.abs(q))))
     solutions: list[LcpSolution] = []
     singular: list[tuple[int, ...]] = []
     from itertools import combinations
@@ -101,26 +100,25 @@ def enumerate_lcp_solutions(instance: LcpInstance,
                     singular.append(S)
                     continue
                 z_s = np.linalg.solve(block, -q[idx])
-                if np.min(z_s) < -tol * scale:
+                if np.min(z_s) < -slack:
                     continue
                 z[idx] = np.clip(z_s, 0.0, None)
             y = A @ z + q
-            if idx and np.max(np.abs(y[idx])) > tol * scale:
+            if idx and np.max(np.abs(y[idx])) > slack:
                 continue
             y[idx] = 0.0
-            if np.min(y) < -tol * scale:
+            if np.min(y) < -slack:
                 continue
             y = np.clip(y, 0.0, None)
-            if any(np.max(np.abs(sol.z - z)) <= tol * scale for sol in solutions):
+            if any(np.max(np.abs(sol.z - z)) <= slack for sol in solutions):
                 continue
             solutions.append(LcpSolution(z=z, y=y, basis=S))
     return LcpEnumeration(tuple(solutions), tuple(singular))
 
 
-def solve_lcp_enumerate(instance: LcpInstance,
-                        tol: float = LCP_TOL) -> list[LcpSolution]:
+def solve_lcp_enumerate(instance: LcpInstance) -> list[LcpSolution]:
     """All complementary solutions (see :func:`enumerate_lcp_solutions`)."""
-    return list(enumerate_lcp_solutions(instance, tol=tol).solutions)
+    return list(enumerate_lcp_solutions(instance).solutions)
 
 
 @dataclass(frozen=True)
@@ -172,14 +170,6 @@ class QpInstance:
                 if np.any(arr < 0):
                     raise ValueError(f"{name} must be nonnegative")
                 object.__setattr__(self, name, arr)
-
-    @property
-    def num_constraints(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def num_vars(self) -> int:
-        return self.C.shape[0]
 
 
 def qp_to_lcp(qp: QpInstance) -> LcpInstance:

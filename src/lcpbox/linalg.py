@@ -4,19 +4,18 @@ spectral radius, definiteness tests, irreducibility, inverse nonnegativity.
 Everything operates on small dense matrices. Verdicts are tolerance
 classified with deterministic, scale-relative thresholds (see
 :mod:`lcpbox.tolerances`). Every determinant is classified by the one
-zero rule of :func:`minor_sign` and its batched form.
+zero rule of :func:`minor_sign` and its batched form. The Perron root is
+one dense eigenvalue solve per strongly connected component, so it needs
+no tolerance and scales with the matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tolerances import EIG_TOL, PIVOT_TOL, POWER_MAX_ITER, POWER_TOL
+from .tolerances import EIG_TOL, PIVOT_TOL
 
 __all__ = [
-    "SpectralResult",
     "batch_det_signs",
     "batch_minor_signs",
     "spectral_radius_nonneg",
@@ -31,15 +30,6 @@ __all__ = [
 def symmetric_part(A) -> np.ndarray:
     M = np.asarray(A, dtype=float)
     return (M + M.T) / 2.0
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Outcome of a spectral-radius computation on a nonnegative matrix."""
-
-    rho: float
-    iterations: int
-    converged: bool
 
 
 def _zero_bound(k: int, rows=()):
@@ -143,6 +133,16 @@ def batch_det_signs(stack: np.ndarray) -> np.ndarray:
     return _stack_minor_signs(stack, range(np.shape(stack)[-1]))
 
 
+def _nonnegative_square(N, what: str) -> np.ndarray:
+    A = np.asarray(N, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"{what} requires a square matrix")
+    if np.any(A < 0):
+        raise ValueError("matrix must be nonnegative entrywise")
+    return A
+
+
 def _strong_components(adj: np.ndarray) -> list[list[int]]:
     """Strongly connected components of a boolean adjacency matrix."""
     n = adj.shape[0]
@@ -161,86 +161,40 @@ def _strong_components(adj: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def _perron_root_irreducible(
-    B: np.ndarray, tol: float, max_iterations: int
-) -> tuple[float, np.ndarray, int, bool]:
-    """Perron root of an irreducible nonnegative block.
-
-    Power iteration runs on B + delta*I, which is primitive, and the
-    identity shift moves the Perron root by exactly delta, so subtracting
-    it back is exact. Collatz-Wielandt ratios give a certified stopping
-    interval; on hitting the iteration cap the estimate sequence is
-    Richardson-extrapolated and flagged as not converged.
-    """
-    m = B.shape[0]
-    if m == 1:
-        return float(B[0, 0]), np.ones(1), 0, True
-    delta = 0.5 * float(np.max(B))
-    P = B + delta * np.eye(m)
-    v = np.full(m, 1.0 / m)
-    history: list[float] = []
-    for it in range(1, max_iterations + 1):
-        w = P @ v
-        ratios = w / v
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        est = (lo + hi) / 2.0
-        history.append(est)
-        if hi - lo <= tol * max(1.0, est):
-            return est - delta, v, it, True
-        v = w / np.sum(w)
-    rho = history[-1]
-    if len(history) >= 3:
-        l0, l1, l2 = history[-3], history[-2], history[-1]
-        denom = (l2 - l1) - (l1 - l0)
-        if abs(denom) > 1e-300:
-            rho = l2 - (l2 - l1) ** 2 / denom
-    return float(rho) - delta, v, max_iterations, False
-
-
-def spectral_radius_nonneg(
-    N,
-    tol: float = POWER_TOL,
-    max_iterations: int = POWER_MAX_ITER,
-) -> SpectralResult:
+def spectral_radius_nonneg(N) -> float:
     """Perron root of an entrywise nonnegative matrix.
 
-    The matrix is split into strongly connected components; the spectral
-    radius is the maximum of the component Perron roots, each computed by
-    shifted power iteration (see :func:`_perron_root_irreducible`). The
-    split keeps reducible inputs exact: no cross-block perturbation is
-    introduced.
+    The largest Perron root over the strongly connected components of the
+    matrix's digraph: a 1x1 component's root is its entry, a larger one's
+    the largest real part of its block's eigenvalues. An irreducible
+    block's Perron root is a simple eigenvalue (Perron-Frobenius), so the
+    dense eigenvalue solve is accurate to rounding relative to the block,
+    at any scale. The split keeps reducible inputs exact too: a defective
+    multiple root of the whole matrix would lose about sqrt(eps).
     """
-    A = np.asarray(N, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("spectral radius requires a square matrix")
-    if np.any(A < 0):
-        raise ValueError("matrix must be nonnegative entrywise")
-    if n == 0 or float(np.max(A)) == 0.0:
-        return SpectralResult(0.0, 0, True)
+    A = _nonnegative_square(N, "spectral radius")
     best = 0.0
-    total_iterations = 0
-    all_converged = True
     for comp in _strong_components(A > 0.0):
-        B = A[np.ix_(comp, comp)]
-        rho_b, _, its, ok = _perron_root_irreducible(B, tol, max_iterations)
-        total_iterations += its
-        all_converged = all_converged and ok
-        best = max(best, rho_b)
-    return SpectralResult(best, total_iterations, all_converged)
+        if len(comp) == 1:
+            root = float(A[comp[0], comp[0]])
+        else:
+            root = float(np.max(np.linalg.eigvals(A[np.ix_(comp, comp)]).real))
+        best = max(best, root)
+    return best
 
 
-def is_positive_definite(M, tol: float = PIVOT_TOL) -> bool:
+def is_positive_definite(M) -> bool:
     """Strict positive definiteness of a symmetric matrix.
 
-    Cholesky factorization succeeds with every pivot above tol * max|entry|.
+    Cholesky factorization succeeds with every pivot above
+    PIVOT_TOL * max|entry|.
     """
     A = np.array(symmetric_part(M), dtype=float)
     n = A.shape[0]
     scale = float(np.max(np.abs(A)))
     if scale == 0.0:
         return False
-    thresh = tol * scale
+    thresh = PIVOT_TOL * scale
     L = np.zeros_like(A)
     for j in range(n):
         d = A[j, j] - np.dot(L[j, :j], L[j, :j])
@@ -252,8 +206,9 @@ def is_positive_definite(M, tol: float = PIVOT_TOL) -> bool:
     return True
 
 
-def is_positive_semidefinite(M, tol: float = EIG_TOL) -> bool:
-    """Positive semidefiniteness of a symmetric matrix via eigenvalues."""
+def is_positive_semidefinite(M) -> bool:
+    """Positive semidefiniteness of a symmetric matrix via eigenvalues:
+    lambda_min >= -EIG_TOL * ||M||_inf."""
     A = symmetric_part(M)
     if A.size == 0:
         return True
@@ -261,41 +216,17 @@ def is_positive_semidefinite(M, tol: float = EIG_TOL) -> bool:
     if norm == 0.0:
         return True
     lam_min = float(np.min(np.linalg.eigvalsh(A)))
-    return lam_min >= -tol * norm
+    return lam_min >= -EIG_TOL * norm
 
 
 def is_irreducible(N) -> bool:
-    """Irreducibility of a nonnegative matrix.
-
-    Equivalent to strong connectivity of the digraph on nonzero entries
-    (and to (I + N)^(n-1) > 0); decided by forward and backward
-    reachability from node 0.
-    """
-    A = np.asarray(N, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("irreducibility requires a square matrix")
-    if np.any(A < 0):
-        raise ValueError("matrix must be nonnegative entrywise")
-    if n == 1:
-        return True
-    adj = A > 0.0
-    for graph in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(graph[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        if not seen.all():
-            return False
-    return True
+    """Irreducibility of a nonnegative matrix: its digraph on nonzero
+    entries is one strongly connected component."""
+    A = _nonnegative_square(N, "irreducibility")
+    return len(_strong_components(A > 0.0)) == 1
 
 
-def inverse_nonnegative(M, tol: float = EIG_TOL) -> bool:
+def inverse_nonnegative(M) -> bool:
     """True iff M is nonsingular (to tolerance) with entrywise nonnegative
     inverse. Singular input returns False rather than raising."""
     A = np.asarray(M, dtype=float)
@@ -305,5 +236,5 @@ def inverse_nonnegative(M, tol: float = EIG_TOL) -> bool:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         return False
-    slack = tol * max(1.0, float(np.max(np.abs(inv))))
+    slack = EIG_TOL * max(1.0, float(np.max(np.abs(inv))))
     return bool(np.all(inv >= -slack))

@@ -32,6 +32,9 @@ __all__ = [
 LE, GE, EQ = "<=", ">=", "=="
 _RELATIONS = (LE, GE, EQ)
 
+# Phase-1 pivots before the engine gives up with LpEngineError.
+_MAX_PIVOTS = 100_000
+
 
 class LpEngineError(RuntimeError):
     """Numerical breakdown of the feasibility engine (distinct from an
@@ -64,10 +67,6 @@ class LinearSystem:
             raise ValueError(f"relations must be one of {_RELATIONS}")
         if len(self.lower_bounds) != A.shape[1]:
             raise ValueError("one lower bound (or None) per variable required")
-
-    @property
-    def num_vars(self) -> int:
-        return self.coeffs.shape[1]
 
     def residuals(self, x) -> np.ndarray:
         """Signed violation per row (positive = violated)."""
@@ -110,8 +109,7 @@ class FeasibilityResult:
     strict_row: int | None = None
 
 
-def _bland_phase1(T: np.ndarray, basis: list[int], tol: float,
-                  max_pivots: int) -> None:
+def _bland_phase1(T: np.ndarray, basis: list[int], tol: float) -> None:
     """Run phase-1 simplex on tableau T in place (objective = last row).
 
     Bland's rule: entering column = lowest index with negative reduced
@@ -122,7 +120,7 @@ def _bland_phase1(T: np.ndarray, basis: list[int], tol: float,
     no positive entry at all signals numerical corruption.
     """
     m = T.shape[0] - 1
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         obj = T[-1, :-1]
         candidates = np.nonzero(obj < -tol)[0]
         if candidates.size == 0:
@@ -163,8 +161,7 @@ def _bland_phase1(T: np.ndarray, basis: list[int], tol: float,
     raise LpEngineError("phase-1 pivot cap exceeded")
 
 
-def solve_feasibility(system: LinearSystem, tol: float = LP_TOL,
-                      max_pivots: int = 100_000) -> FeasibilityResult:
+def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide feasibility of a linear system by phase-1 simplex.
 
     Variables with a finite lower bound are shifted to the nonnegative
@@ -198,7 +195,7 @@ def solve_feasibility(system: LinearSystem, tol: float = LP_TOL,
 
     scale = max(1.0, float(np.max(np.abs(U), initial=0.0)),
                 float(np.max(np.abs(b), initial=0.0)))
-    work_tol = tol * scale
+    work_tol = LP_TOL * scale
 
     rows = []
     rels = []
@@ -243,7 +240,7 @@ def solve_feasibility(system: LinearSystem, tol: float = LP_TOL,
     for i in art_rows:
         T[-1] -= T[i]
 
-    _bland_phase1(T, basis, work_tol, max_pivots)
+    _bland_phase1(T, basis, work_tol)
 
     art_sum = -T[-1, -1]
     if art_sum > 1e-8 * scale:
@@ -257,13 +254,12 @@ def solve_feasibility(system: LinearSystem, tol: float = LP_TOL,
     for j, (plus, minus) in enumerate(col_map):
         x[j] += u[plus] - (u[minus] if minus is not None else 0.0)
 
-    if not system.satisfied_by(x, tol=10 * tol):
+    if not system.satisfied_by(x, tol=10 * LP_TOL):
         raise LpEngineError("phase-1 witness failed validation")
     return FeasibilityResult(True, witness=x)
 
 
-def feasible_positive_strict(M, strict_all: bool,
-                             tol: float = LP_TOL) -> FeasibilityResult:
+def feasible_positive_strict(M, strict_all: bool) -> FeasibilityResult:
     """Decide the strict positive systems used by the matrix-class tests.
 
     With ``strict_all=True``: is there ``x > 0`` with ``M x > 0``?
@@ -295,7 +291,7 @@ def feasible_positive_strict(M, strict_all: bool,
         if np.min(np.max(A, axis=1)) <= 0.0:
             return FeasibilityResult(False)
         sys_all = LinearSystem(A, (GE,) * m, np.ones(m), bounds)
-        return solve_feasibility(sys_all, tol=tol)
+        return solve_feasibility(sys_all)
     # With x > 0, a row of nonnegative entries (not all zero) forces
     # (Ax)_r > 0, violating Ax <= 0. This also rejects a (nonzero) matrix
     # with no negative entry, which no row could make strictly negative.
@@ -303,8 +299,7 @@ def feasible_positive_strict(M, strict_all: bool,
         return FeasibilityResult(False)
     coeffs = np.vstack([A, A.sum(axis=0)])
     rhs = np.concatenate([np.zeros(m), [-1.0]])
-    res = solve_feasibility(LinearSystem(coeffs, (LE,) * (m + 1), rhs, bounds),
-                            tol=tol)
+    res = solve_feasibility(LinearSystem(coeffs, (LE,) * (m + 1), rhs, bounds))
     if not res.feasible:
         return res
     x = res.witness

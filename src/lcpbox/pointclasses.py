@@ -91,7 +91,7 @@ def _square(A) -> np.ndarray:
 
 def _ztol(A: np.ndarray) -> float:
     # scale-relative so classifications commute with positive rescaling
-    return 1e-12 * float(np.max(np.abs(A), initial=0.0))
+    return 1e-12 * float(np.abs(A).max(initial=0.0))
 
 
 def _check_cap(n: int, cap: int, override: bool) -> None:
@@ -127,7 +127,7 @@ def _m_margin(A: np.ndarray) -> float:
     s = float(np.max(np.diag(M)))
     N = s * np.eye(M.shape[0]) - M
     N[N < 0] = 0.0  # roundoff: off-diagonals are >= -ztol after the Z test
-    return s - spectral_radius_nonneg(N).rho
+    return s - spectral_radius_nonneg(N)
 
 
 def _m_tol(A: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,12 +56,6 @@ class Report:
     elapsed: float
     oracle: dict | None = None
 
-    def verdict_for(self, prop: str) -> PropertyVerdict:
-        for v in self.verdicts:
-            if v.property == prop:
-                return v
-        raise KeyError(prop)
-
     @property
     def all_hold(self) -> bool:
         return all(v.holds for v in self.verdicts)
@@ -73,18 +67,6 @@ def box_digest(box: IntervalMatrix) -> str:
         separators=(",", ":"),
     ).encode()
     return hashlib.sha256(payload).hexdigest()
-
-
-def _config_dict(config: CheckConfig) -> dict:
-    return {
-        "rho_tol": config.rho_tol,
-        "fast_paths": config.fast_paths,
-        "cap_sign_vertex": config.cap_sign_vertex,
-        "cap_index_pairs": config.cap_index_pairs,
-        "cap_nondegenerate": config.cap_nondegenerate,
-        "cap_point": config.cap_point,
-        "override_caps": config.override_caps,
-    }
 
 
 def run_checks(box: IntervalMatrix, properties=None,
@@ -100,7 +82,7 @@ def run_checks(box: IntervalMatrix, properties=None,
         lower=box.lower.copy(),
         upper=box.upper.copy(),
         verdicts=verdicts,
-        config=_config_dict(config),
+        config=asdict(config),
         elapsed=time.perf_counter() - t0,
     )
 

@@ -175,8 +175,7 @@ def _check_cap(n: int, cap: int, what: str, config: CheckConfig) -> None:
 
 
 def _ztol(box: IntervalMatrix) -> float:
-    return 1e-12 * max(1.0, float(np.max(np.abs(box.upper))),
-                       float(np.max(np.abs(box.lower))))
+    return max(pc._ztol(box.lower), pc._ztol(box.upper))
 
 
 def _is_identity(M: np.ndarray) -> bool:
@@ -231,7 +230,7 @@ def _rho_verdict(box: IntervalMatrix, radius: np.ndarray, strict: bool,
     rho(radius) <= 1 (strict: < 1), compared with tolerance ``rho_tol``,
     and rho within it of 1 is flagged as boundary. A failure carries
     ``false_cert(box, config)`` plus rho."""
-    rho = spectral_radius_nonneg(radius).rho
+    rho = spectral_radius_nonneg(radius)
     tol = config.rho_tol
     holds = (rho < 1.0 - tol) if strict else (rho <= 1.0 + tol)
     cert = {"rho": rho} if holds else {**false_cert(box, config), "rho": rho}
@@ -356,7 +355,7 @@ def sign_scaling_to_z(M: np.ndarray) -> np.ndarray | None:
     Complete: if any valid s exists, one is found.
     """
     n = M.shape[0]
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(M), initial=0.0)))
+    tol = pc._ztol(M)
     edges = [(i, j, r) for i in range(n) for j in range(n) if i != j
              if (r := _entry_requirement(M[i, j], tol)) is not None]
     return _parity_labels(n, edges)
@@ -367,7 +366,7 @@ def sign_scaling_to_z_two_sided(M: np.ndarray) -> tuple[np.ndarray, np.ndarray] 
     positive diagonal, or None. Parity constraints y_i z_j on the bipartite
     graph of rows (nodes 0..n-1) and columns (nodes n..2n-1); complete."""
     n = M.shape[0]
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(M), initial=0.0)))
+    tol = pc._ztol(M)
     diag = np.diag(M)
     if np.any(np.abs(diag) <= tol):
         return None  # positive diagonal unreachable
@@ -630,6 +629,28 @@ def _vertex_sign_sweep(mid_sub: np.ndarray, rad_sub: np.ndarray,
     return None
 
 
+def _segment_bisect(side) -> float:
+    """Bisection on t in [0, 1] for the point where ``side(t)`` changes
+    from positive (the t = 0 side) to negative: the first t probed with
+    side 0 (t = 1 is probed first), else the upper end of the bracket once
+    no float lies inside it or after 200 halvings."""
+    if side(1.0) == 0:
+        return 1.0
+    lo_t, hi_t = 0.0, 1.0
+    for _ in range(200):
+        mid_t = (lo_t + hi_t) / 2.0
+        if not lo_t < mid_t < hi_t:
+            break
+        s_mid = side(mid_t)
+        if s_mid == 0:
+            return mid_t
+        if s_mid > 0:
+            lo_t = mid_t
+        else:
+            hi_t = mid_t
+    return hi_t
+
+
 def _bisect_singular_block(box: IntervalMatrix, y: np.ndarray, z: np.ndarray,
                            support: tuple[int, ...]) -> np.ndarray:
     """A realization mid - t * D_y rad D_z whose support-block determinant
@@ -647,24 +668,13 @@ def _bisect_singular_block(box: IntervalMatrix, y: np.ndarray, z: np.ndarray,
         A = box.midpoint.copy()
         A[i, i] = 0.0
         return A
+    s0 = minor_sign(box.midpoint, support)
 
-    def sign_at(t: float) -> int:
-        return minor_sign(box.midpoint - t * step, support)
+    def side(t: float) -> int:
+        sign = minor_sign(box.midpoint - t * step, support)
+        return 0 if sign == 0 else (1 if sign == s0 else -1)
 
-    s0 = sign_at(0.0)
-    lo_t, hi_t = 0.0, 1.0
-    if sign_at(1.0) == 0:
-        return box.midpoint - step
-    for _ in range(200):
-        mid_t = (lo_t + hi_t) / 2.0
-        s_mid = sign_at(mid_t)
-        if s_mid == 0:
-            return box.midpoint - mid_t * step
-        if s_mid == s0:
-            lo_t = mid_t
-        else:
-            hi_t = mid_t
-    return box.midpoint - hi_t * step
+    return box.midpoint - _segment_bisect(side) * step
 
 
 def _support_failure(box: IntervalMatrix,
@@ -770,18 +780,9 @@ def _nondegenerate_pd_false_cert(box: IntervalMatrix,
         return float(np.min(np.linalg.eigvalsh(symmetric_part(box.midpoint) -
                                                t * symmetric_part(step))))
 
-    lo_t, hi_t = 0.0, 1.0
-    for _ in range(200):
-        mid_t = (lo_t + hi_t) / 2.0
-        if lam_min(mid_t) > 0:
-            lo_t = mid_t
-        else:
-            hi_t = mid_t
-        if hi_t - lo_t < 1e-15:
-            break
-    realization = box.midpoint - hi_t * step
-    return {"s": s, "realization": realization,
-            "min_eigenvalue": lam_min(hi_t)}
+    t = _segment_bisect(lambda t: 1 if lam_min(t) > 0 else -1)
+    return {"s": s, "realization": box.midpoint - t * step,
+            "min_eigenvalue": lam_min(t)}
 
 
 def _nondegenerate_midpoint_m(box, config, notes):
@@ -1079,7 +1080,7 @@ def verify_certificate(box: IntervalMatrix, verdict: PropertyVerdict) -> bool:
     if A is None:
         return False
     A = np.asarray(A, dtype=float)
-    slack = 1e-9 * max(1.0, float(np.max(np.abs(box.upper))),
+    slack = 1e-9 * max(float(np.max(np.abs(box.upper))),
                        float(np.max(np.abs(box.lower))))
     if not box.contains(A, tol=slack):
         return False

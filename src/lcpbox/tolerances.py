@@ -1,9 +1,10 @@
 """Shared numeric tolerances.
 
 All verdicts in this library are tolerance-classified so that repeated runs
-on the same input are bit-for-bit reproducible. Pivot and eigenvalue
-tolerances are scale-relative; spectral-radius threshold comparisons are
-absolute.
+on the same input are bit-for-bit reproducible. Pivot, eigenvalue and zero
+tolerances (1e-12 * max|entry| over both bounds, no floor) are
+scale-relative; spectral-radius threshold comparisons are absolute, and
+the Perron root needs no tolerance.
 """
 
 # The determinant zero rule (lcpbox.linalg.minor_sign): a k-by-k principal
@@ -18,10 +19,6 @@ EIG_TOL = 1e-9
 
 # Spectral-radius threshold comparisons (rho vs. 1) use an absolute margin.
 RHO_TOL = 1e-9
-
-# Power iteration convergence and iteration cap.
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10_000
 
 # LP feasibility: row residuals of a witness must stay within this.
 LP_TOL = 1e-9

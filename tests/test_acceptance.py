@@ -142,7 +142,7 @@ def test_criterion_6_spectral_threshold_fast_paths():
         spread = rng.uniform(0.2, 2.4)
         rad = rng.uniform(0.0, spread / n, (n, n))
         box = lb.from_midpoint_radius(np.eye(n), rad)
-        rho = lb.spectral_radius_nonneg(rad).rho
+        rho = lb.spectral_radius_nonneg(rad)
         if rho <= 1.0:
             rho_low += 1
         else:

@@ -52,3 +52,28 @@ def test_one_determinant_zero_rule():
                      and hasattr(module, "PIVOT_TOL"))
     assert binders == ["lcpbox.linalg", "lcpbox.tolerances"]
     assert not hasattr(lcpbox, "determinant")
+
+
+def test_no_power_iteration_or_tolerance_knobs():
+    # The Perron root is one eigenvalue solve per strongly connected
+    # component, and each tolerance is a constant of lcpbox.tolerances that
+    # no caller overrides.
+    import inspect
+
+    import lcpbox
+    import lcpbox.lcp as lcp
+    import lcpbox.linalg as linalg
+    import lcpbox.lp as lp
+    import lcpbox.tolerances as tolerances
+    assert not hasattr(lcpbox, "SpectralResult")
+    assert not hasattr(linalg, "_perron_root_irreducible")
+    assert [name for name in ("POWER_TOL", "POWER_MAX_ITER")
+            if hasattr(tolerances, name)] == []
+    functions = (linalg.spectral_radius_nonneg, linalg.is_positive_definite,
+                 linalg.is_positive_semidefinite, linalg.inverse_nonnegative,
+                 lp.feasible_positive_strict, lp.solve_feasibility,
+                 lcp.enumerate_lcp_solutions, lcp.solve_lcp_enumerate)
+    knobs = [(f.__name__, p) for f in functions
+             for p in inspect.signature(f).parameters
+             if p in ("tol", "max_iterations", "max_pivots")]
+    assert knobs == []

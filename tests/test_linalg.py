@@ -5,14 +5,12 @@ import pytest
 
 import lcpbox as lb
 from lcpbox.linalg import (
-    _perron_root_irreducible,
     _zero_bound,
     batch_det_signs,
     batch_minor_signs,
     minor_sign,
     symmetric_part,
 )
-from lcpbox.tolerances import POWER_MAX_ITER, POWER_TOL
 
 
 def cofactor_det(M):
@@ -157,45 +155,57 @@ class TestDeterminant:
 
 class TestSpectralRadius:
     def test_zero_matrix(self):
-        res = lb.spectral_radius_nonneg(np.zeros((3, 3)))
-        assert res.rho == 0.0 and res.converged
+        assert lb.spectral_radius_nonneg(np.zeros((3, 3))) == 0.0
 
     def test_constant_row_sums(self):
-        res = lb.spectral_radius_nonneg([[0.5, 0.5], [0.5, 0.5]])
-        assert res.rho == pytest.approx(1.0, abs=1e-9)
-        assert res.converged
+        rho = lb.spectral_radius_nonneg([[0.5, 0.5], [0.5, 0.5]])
+        assert rho == pytest.approx(1.0, abs=1e-9)
 
     def test_reducible_exact(self):
         # triangular: the Perron root is the max diagonal entry, exactly
-        assert lb.spectral_radius_nonneg([[1, 1], [0, 1]]).rho == pytest.approx(1.0, abs=0)
-        assert lb.spectral_radius_nonneg([[0, 2], [0, 0]]).rho == 0.0
+        assert lb.spectral_radius_nonneg([[1, 1], [0, 1]]) == pytest.approx(1.0, abs=0)
+        assert lb.spectral_radius_nonneg([[0, 2], [0, 0]]) == 0.0
 
     def test_reference_radius_matrix(self, mid3):
         # frozen from the characteristic-polynomial root oracle
-        res = lb.spectral_radius_nonneg(0.1 * np.abs(mid3))
-        assert res.rho == pytest.approx(0.2847322101863069, abs=1e-8)
+        rho = lb.spectral_radius_nonneg(0.1 * np.abs(mid3))
+        assert rho == pytest.approx(0.2847322101863069, abs=1e-8)
 
     def test_against_charpoly_roots(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
             n = rng.integers(1, 5)
             N = rng.uniform(0, 2, (n, n))
-            res = lb.spectral_radius_nonneg(N)
+            rho = lb.spectral_radius_nonneg(N)
             oracle = float(np.max(np.abs(np.roots(charpoly_coeffs(N)))))
-            assert res.rho == pytest.approx(oracle, abs=1e-6)
+            assert rho == pytest.approx(oracle, abs=1e-6)
 
     def test_residual_on_dominant_block(self):
+        # A positive matrix is irreducible: its root is bracketed by the
+        # Collatz-Wielandt ratios of any positive vector, and N - rho*I is
+        # singular to rounding.
         rng = np.random.default_rng(5)
         for _ in range(20):
             N = rng.uniform(0, 3, (4, 4))
-            res = lb.spectral_radius_nonneg(N)
-            assert res.converged
-            # A positive matrix is irreducible: one block, the whole matrix.
-            rho, v, _, converged = _perron_root_irreducible(
-                N, POWER_TOL, POWER_MAX_ITER)
-            assert converged and rho == res.rho
-            resid = float(np.max(np.abs(N @ v - rho * v)))
-            assert resid <= 1e-8 * max(1.0, float(np.max(np.abs(N))))
+            rho = lb.spectral_radius_nonneg(N)
+            for v in (np.ones(4), rng.uniform(0.1, 1.0, 4)):
+                ratios = (N @ v) / v
+                assert np.min(ratios) <= rho <= np.max(ratios)
+            sigma_min = np.linalg.svd(N - rho * np.eye(4), compute_uv=False)[-1]
+            assert sigma_min <= 1e-12 * float(np.max(np.abs(N)))
+
+    def test_scales_with_the_matrix(self):
+        # rho(c N) = c rho(N) to rounding at any scale, reducible or not.
+        rng = np.random.default_rng(15)
+        for k in range(40):
+            n = int(rng.integers(2, 6))
+            N = rng.uniform(0, 2, (n, n))
+            if k % 2:
+                N[rng.random((n, n)) < 0.4] = 0.0
+            rho = lb.spectral_radius_nonneg(N)
+            for c in (1e-9, 1e-6, 1e3):
+                assert lb.spectral_radius_nonneg(c * N) == pytest.approx(
+                    c * rho, rel=1e-12, abs=0)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -114,3 +114,38 @@ def test_determinant_verdicts_invariant_under_row_scaling():
             assert base == scaled, (prop, mid, rad, D)
             seen.add((prop, base))
     assert len(seen) == 10  # every verdict both holds and fails somewhere
+
+
+def test_m_verdicts_invariant_under_scaling_near_the_margin():
+    # Z = rho(A)(1 +- 1e-7) I - A sits just inside or outside the M-matrix
+    # cone, well beyond the relative tolerance; the Perron root scales with
+    # the matrix, so no scale may move the verdicts.
+    A = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 3.0], [2.0, 1.0, 0.0]])
+    rho = float(np.max(np.linalg.eigvals(A).real))
+    for f, expected in ((1.0 - 1e-7, False), (1.0 + 1e-7, True)):
+        Z = rho * f * np.eye(3) - A
+        for c in (1.0, 1e-4, 1e-6):
+            assert (lb.is_M(c * Z), lb.is_M0(c * Z)) == (expected, expected), (f, c)
+
+
+def test_strong_verdicts_invariant_at_tiny_scales():
+    # The strong checks' zero tolerances are relative to the box's largest
+    # entry with no floor, so shrinking a box by 1e-13 keeps every verdict,
+    # and the falsifier finds no contradiction to strong Z or M. Every third
+    # box has an exact zero entry, which no tolerance may flip.
+    rng = np.random.default_rng(5)
+    for k in range(20):
+        mid = rng.uniform(-2, 2, (3, 3))
+        rad = rng.uniform(0, 1, (3, 3))
+        if k % 2:
+            mid, rad = 2.5 * np.eye(3) - np.abs(mid) / 2, rad / 4
+        if k % 3 == 0:
+            i, j = divmod(int(rng.integers(9)), 3)
+            mid[i, j] = rad[i, j] = 0.0
+        base = lb.check_all(lb.from_midpoint_radius(mid, rad))
+        tiny_box = lb.from_midpoint_radius(1e-13 * mid, 1e-13 * rad)
+        tiny = lb.check_all(tiny_box)
+        assert [v.holds for v in tiny] == [v.holds for v in base], (mid, rad)
+        report = lb.cross_validate(
+            tiny_box, [v for v in tiny if v.property in ("z", "m")], budget=64)
+        assert report.consistent, (mid, rad)

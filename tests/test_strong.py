@@ -549,7 +549,7 @@ class TestVerdictInfrastructure:
         for _ in range(40):
             n = int(rng.integers(2, 5))
             N = rng.uniform(0, 1, (n, n))
-            rho = lb.spectral_radius_nonneg(N).rho
+            rho = lb.spectral_radius_nonneg(N)
             s = rho * (1.0 + rng.uniform(0.05, 1.0))
             mid = s * np.eye(n) - N
             rad = rng.uniform(0, rng.uniform(0.05, 0.6) * s, (n, n))
