@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="spectral threshold tolerance (default from "
                             f"${_TOL_ENV} or {RHO_TOL})")
         p.add_argument("--cap", type=int, default=None,
-                       help="override all enumeration caps with this value")
+                       help="dimension cap of every exponential enumeration "
+                            "(default: each enumeration's own cap)")
         p.add_argument("--oracle-budget", type=int, default=None,
                        help="also cross-validate verdicts with the falsifier")
         p.add_argument("--seed", type=int, default=0)
@@ -119,10 +120,8 @@ def _default_tol(args) -> float:
 
 
 def _config_from_args(args) -> CheckConfig:
-    config = CheckConfig(rho_tol=_default_tol(args), fast_paths=args.fast_paths)
-    if args.cap is not None:
-        config = config.with_all_caps(args.cap)
-    return config
+    return CheckConfig(rho_tol=_default_tol(args), fast_paths=args.fast_paths,
+                       cap=args.cap)
 
 
 def _properties_from_args(args) -> tuple[str, ...]:

@@ -3,7 +3,7 @@
 
 class DimensionCapError(ValueError):
     """An exponential enumeration was refused because the dimension exceeds
-    the configured cap. Pass an override to force the computation."""
+    the configured cap. Pass a larger cap to force the computation."""
 
 
 class FastPathUnavailableError(RuntimeError):

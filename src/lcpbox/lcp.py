@@ -146,8 +146,8 @@ class QpInstance:
         m = C.shape[0]
         if C.shape != (m, m):
             raise ValueError("C must be square")
-        if np.max(np.abs(C - C.T), initial=0.0) > 1e-9 * max(
-            1.0, float(np.max(np.abs(C), initial=0.0))
+        if np.max(np.abs(C - C.T), initial=0.0) > 1e-9 * float(
+            np.max(np.abs(C), initial=0.0)
         ):
             raise ValueError("C must be symmetric")
         if d.shape[0] != m:

@@ -236,5 +236,5 @@ def inverse_nonnegative(M) -> bool:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         return False
-    slack = EIG_TOL * max(1.0, float(np.max(np.abs(inv))))
+    slack = EIG_TOL * float(np.max(np.abs(inv)))
     return bool(np.all(inv >= -slack))

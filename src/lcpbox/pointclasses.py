@@ -94,10 +94,10 @@ def _ztol(A: np.ndarray) -> float:
     return 1e-12 * float(np.abs(A).max(initial=0.0))
 
 
-def _check_cap(n: int, cap: int, override: bool) -> None:
-    if n > cap and not override:
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
         raise DimensionCapError(
-            f"dimension {n} exceeds enumeration cap {cap}; pass override to force"
+            f"dimension {n} exceeds enumeration cap {cap}; pass a larger cap to force"
         )
 
 
@@ -174,8 +174,7 @@ def is_PSD(A) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def copositive_minimum(A, cap: int = CAP_POINT_ENUM,
-                       override_cap: bool = False) -> tuple[float, np.ndarray]:
+def copositive_minimum(A, cap: int = CAP_POINT_ENUM) -> tuple[float, np.ndarray]:
     """Minimum of x^T A x over the unit simplex, with a minimizer.
 
     The minimum is attained at a stationary point of some face: on the
@@ -186,7 +185,7 @@ def copositive_minimum(A, cap: int = CAP_POINT_ENUM,
     """
     S = symmetric_part(_square(A))
     n = S.shape[0]
-    _check_cap(n, cap, override_cap)
+    _check_cap(n, cap)
     slack = EIG_TOL * max(1.0, float(np.max(np.abs(S), initial=0.0)))  # x-space slack
     best_val = np.inf
     best_x = np.zeros(n)
@@ -234,12 +233,11 @@ def copositive_minimum(A, cap: int = CAP_POINT_ENUM,
     return best_val, best_x
 
 
-def is_copositive(A, strict: bool = False, cap: int = CAP_POINT_ENUM,
-                  override_cap: bool = False) -> bool:
+def is_copositive(A, strict: bool = False, cap: int = CAP_POINT_ENUM) -> bool:
     """x^T A x >= 0 for all x >= 0 (strict: > 0 for all x >= 0, x != 0)."""
     S = symmetric_part(_square(A))
     slack = EIG_TOL * float(np.max(np.abs(S), initial=0.0))
-    m_star, _ = copositive_minimum(S, cap=cap, override_cap=override_cap)
+    m_star, _ = copositive_minimum(S, cap=cap)
     return m_star > slack if strict else m_star >= -slack
 
 
@@ -248,11 +246,11 @@ def is_copositive(A, strict: bool = False, cap: int = CAP_POINT_ENUM,
 # ---------------------------------------------------------------------------
 
 
-def semimonotone_witness(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False):
+def semimonotone_witness(A, cap: int = CAP_POINT_ENUM):
     """First (I, x) with A_II x < 0, x >= 0, or None if semimonotone."""
     M = _square(A)
     n = M.shape[0]
-    _check_cap(n, cap, override_cap)
+    _check_cap(n, cap)
     ztol = _ztol(M)
     for I in nonempty_subsets(n):
         if len(I) == 1:
@@ -275,9 +273,9 @@ def semimonotone_witness(A, cap: int = CAP_POINT_ENUM, override_cap: bool = Fals
     return None
 
 
-def is_semimonotone(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) -> bool:
+def is_semimonotone(A, cap: int = CAP_POINT_ENUM) -> bool:
     """No nonempty principal block admits A_II x < 0 with x >= 0."""
-    return semimonotone_witness(A, cap=cap, override_cap=override_cap) is None
+    return semimonotone_witness(A, cap=cap) is None
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +316,16 @@ def _signed_block_witness(lower: np.ndarray, upper: np.ndarray):
     return None
 
 
-def column_sufficiency_witness(A, cap: int = CAP_POINT_ENUM,
-                               override_cap: bool = False):
+def column_sufficiency_witness(A, cap: int = CAP_POINT_ENUM):
     """First (I, J, x, strict_row) violating column sufficiency, else None:
     :func:`_signed_block_witness` with both bounds equal to A."""
     M = _square(A)
-    _check_cap(M.shape[0], cap, override_cap)
+    _check_cap(M.shape[0], cap)
     return _signed_block_witness(M, M)
 
 
-def is_column_sufficient(A, cap: int = CAP_POINT_ENUM,
-                         override_cap: bool = False) -> bool:
-    return column_sufficiency_witness(A, cap=cap, override_cap=override_cap) is None
+def is_column_sufficient(A, cap: int = CAP_POINT_ENUM) -> bool:
+    return column_sufficiency_witness(A, cap=cap) is None
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +334,12 @@ def is_column_sufficient(A, cap: int = CAP_POINT_ENUM,
 
 
 def principal_minor_witness(A, require_positive: bool,
-                            cap: int = CAP_POINT_ENUM,
-                            override_cap: bool = False):
+                            cap: int = CAP_POINT_ENUM):
     """First index set whose principal minor is zero (or nonpositive when
     ``require_positive``), else None."""
     M = _square(A)
     n = M.shape[0]
-    _check_cap(n, cap, override_cap)
+    _check_cap(n, cap)
     for I in nonempty_subsets(n):
         sign = minor_sign(M, I)
         if sign == 0 or (require_positive and sign < 0):
@@ -352,15 +347,14 @@ def principal_minor_witness(A, require_positive: bool,
     return None
 
 
-def is_principally_nondegenerate(A, cap: int = CAP_POINT_ENUM,
-                                 override_cap: bool = False) -> bool:
+def is_principally_nondegenerate(A, cap: int = CAP_POINT_ENUM) -> bool:
     """All principal minors nonzero."""
-    return principal_minor_witness(A, False, cap, override_cap) is None
+    return principal_minor_witness(A, False, cap) is None
 
 
-def is_P(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) -> bool:
+def is_P(A, cap: int = CAP_POINT_ENUM) -> bool:
     """All principal minors positive."""
-    return principal_minor_witness(A, True, cap, override_cap) is None
+    return principal_minor_witness(A, True, cap) is None
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +386,12 @@ def _index_system(lower: np.ndarray, upper: np.ndarray, I, J,
     return LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]), bounds), norm
 
 
-def _index_witness(A, with_t: bool, cap: int, override_cap: bool):
+def _index_witness(A, with_t: bool, cap: int):
     """First (I, x, t) with A_II x + e t = 0, A_JI x + e t >= 0, x > 0 and
     t >= 0 (R, ``with_t``), or with t = 0 (R0), else None."""
     M = _square(A)
     n = M.shape[0]
-    _check_cap(n, cap, override_cap)
+    _check_cap(n, cap)
     ztol = _ztol(M)
     for I in nonempty_subsets(n):
         J = [j for j in range(n) if j not in I]
@@ -434,26 +428,26 @@ def _index_witness(A, with_t: bool, cap: int, override_cap: bool):
     return None
 
 
-def r0_witness(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False):
+def r0_witness(A, cap: int = CAP_POINT_ENUM):
     """First (I, x) with A_II x = 0, A_JI x >= 0, x > 0, else None."""
-    hit = _index_witness(A, False, cap, override_cap)
+    hit = _index_witness(A, False, cap)
     return None if hit is None else hit[:2]
 
 
-def is_R0(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) -> bool:
+def is_R0(A, cap: int = CAP_POINT_ENUM) -> bool:
     """The complementarity problem with q = 0 has only the zero solution."""
-    return r0_witness(A, cap=cap, override_cap=override_cap) is None
+    return r0_witness(A, cap=cap) is None
 
 
-def r_witness(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False):
+def r_witness(A, cap: int = CAP_POINT_ENUM):
     """First (I, x, t) with A_II x + e t = 0, A_JI x + e t >= 0, x > 0,
     t >= 0, else None."""
-    return _index_witness(A, True, cap, override_cap)
+    return _index_witness(A, True, cap)
 
 
-def is_R(A, cap: int = CAP_POINT_ENUM, override_cap: bool = False) -> bool:
+def is_R(A, cap: int = CAP_POINT_ENUM) -> bool:
     """The complementarity problem is solvable for every right-hand side."""
-    return r_witness(A, cap=cap, override_cap=override_cap) is None
+    return r_witness(A, cap=cap) is None
 
 
 # ---------------------------------------------------------------------------

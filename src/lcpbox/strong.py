@@ -13,7 +13,8 @@ realization in the box (or enough data to reconstruct one), re-verified
 against the point-level definitions before reporting.
 
 The properties with fast paths are decided through one driver,
-:func:`_decide`; strong R0 is the t = 0 case of the strong R systems.
+:func:`_decide`, where a fast path that fails without a witness of its
+own takes the general route's; strong R0 is the t = 0 case of strong R.
 Every determinant sign, in the sign-vertex sweeps and the singular-block
 bisection alike, is classified by :func:`lcpbox.linalg.minor_sign`'s zero
 rule, which reads only the block's own rows.
@@ -22,7 +23,7 @@ rule, which reads only the block's own rows.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -110,28 +111,16 @@ DEFAULT_CHECK_PROPERTIES = (
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Tolerances, fast-path policy and enumeration caps for the checkers."""
+    """Tolerance, fast-path policy and the dimension cap of every
+    enumeration (None: each one's default from :mod:`lcpbox.tolerances`)."""
 
     rho_tol: float = RHO_TOL
     fast_paths: str = "auto"  # "auto" | "off" | "only"
-    cap_sign_vertex: int = CAP_SIGN_VERTEX
-    cap_index_pairs: int = CAP_INDEX_PAIRS
-    cap_nondegenerate: int = CAP_NONDEGENERATE
-    cap_point: int = CAP_POINT_ENUM
-    override_caps: bool = False
+    cap: int | None = None
 
     def __post_init__(self):
         if self.fast_paths not in ("auto", "off", "only"):
             raise ValueError("fast_paths must be one of 'auto', 'off', 'only'")
-
-    def with_all_caps(self, cap: int) -> "CheckConfig":
-        return replace(
-            self,
-            cap_sign_vertex=cap,
-            cap_index_pairs=cap,
-            cap_nondegenerate=cap,
-            cap_point=cap,
-        )
 
 
 @dataclass
@@ -141,7 +130,8 @@ class PropertyVerdict:
     ``certificate`` is always present when ``holds`` is False; its
     ``realization`` entry (when set) is a concrete matrix inside the box
     for which the point property fails. ``boundary`` flags spectral-radius
-    comparisons that landed within tolerance of the threshold.
+    comparisons within tolerance of the threshold, and a fast-path failure
+    that the general route overruled.
     """
 
     property: str
@@ -169,8 +159,13 @@ def _cfg(config: CheckConfig | None) -> CheckConfig:
     return config if config is not None else CheckConfig()
 
 
-def _check_cap(n: int, cap: int, what: str, config: CheckConfig) -> None:
-    if n > cap and not config.override_caps:
+def _cap(config: CheckConfig, default: int) -> int:
+    return default if config.cap is None else config.cap
+
+
+def _check_cap(n: int, default: int, what: str, config: CheckConfig) -> None:
+    cap = _cap(config, default)
+    if n > cap:
         raise DimensionCapError(f"dimension {n} exceeds {what} cap {cap}")
 
 
@@ -206,6 +201,11 @@ def _decide(prop: str, box: IntervalMatrix, config: CheckConfig | None,
     :class:`FastPathUnavailableError`. The general route is called the same
     way and returns ``(holds, method, certificate)``. Fast paths and the
     general route may append notes.
+
+    A fast path that fails gives its own witness (a certificate with a
+    ``realization``) or only extras such as rho, which are then added to
+    the general route's certificate. Should the general route hold, its
+    verdict stands, marked as boundary; above its cap, its error stands.
     """
     config = _cfg(config)
     t0 = time.perf_counter()
@@ -213,9 +213,18 @@ def _decide(prop: str, box: IntervalMatrix, config: CheckConfig | None,
     if config.fast_paths != "off":
         for fast in fast_paths:
             hit = fast(box, config, notes)
-            if hit is not None:
-                holds, method, cert, boundary = hit
+            if hit is None:
+                continue
+            holds, method, cert, boundary = hit
+            if holds or "realization" in cert:
                 return _finish(prop, holds, method, cert, t0, boundary, notes)
+            general_holds, general_method, general_cert = general(box, config, notes)
+            if general_holds:
+                notes.append(f"tolerance-marginal: {method} said fails")
+                return _finish(prop, True, general_method, general_cert, t0,
+                               True, notes)
+            return _finish(prop, False, method, {**general_cert, **cert}, t0,
+                           boundary, notes)
         if config.fast_paths == "only":
             raise FastPathUnavailableError(
                 f"no fast path applies to strong {prop} for this box"
@@ -224,49 +233,22 @@ def _decide(prop: str, box: IntervalMatrix, config: CheckConfig | None,
     return _finish(prop, holds, method, cert, t0, notes=notes)
 
 
-def _rho_verdict(box: IntervalMatrix, radius: np.ndarray, strict: bool,
-                 config: CheckConfig, false_cert):
-    """The identity-midpoint fast path: the property holds strongly iff
-    rho(radius) <= 1 (strict: < 1), compared with tolerance ``rho_tol``,
-    and rho within it of 1 is flagged as boundary. A failure carries
-    ``false_cert(box, config)`` plus rho."""
-    rho = spectral_radius_nonneg(radius)
-    tol = config.rho_tol
-    holds = (rho < 1.0 - tol) if strict else (rho <= 1.0 + tol)
-    cert = {"rho": rho} if holds else {**false_cert(box, config), "rho": rho}
-    return holds, "fast:identity-spectral-radius", cert, abs(rho - 1.0) <= tol
-
-
 def _identity_fast(box: IntervalMatrix, config: CheckConfig, notes,
-                   strict: bool, false_cert, quadratic: bool = False):
-    """:func:`_rho_verdict` when the midpoint is exactly the identity.
-    Quadratic-form classes see only symmetric parts, so they test the
-    symmetrized midpoint and radius."""
+                   strict: bool, quadratic: bool = False):
+    """The exact-identity-midpoint fast path: the property holds strongly
+    iff rho(radius) <= 1 (strict: < 1), compared with tolerance
+    ``rho_tol``, and rho within it of 1 is flagged as boundary; the
+    certificate is rho. Quadratic-form classes see only symmetric parts,
+    so they test the symmetrized midpoint and radius."""
     mid, rad = box.midpoint, box.radius
     if quadratic:
         mid, rad = symmetric_part(mid), symmetric_part(rad)
     if not _is_identity(mid):
         return None
-    return _rho_verdict(box, rad, strict, config, false_cert)
-
-
-def _unwitnessed(box: IntervalMatrix,
-                 note: str = "witness extraction failed at tolerance boundary"
-                 ) -> dict:
-    return {"realization": box.lower.copy(), "note": note}
-
-
-def _fast_failure_cert(box: IntervalMatrix, config: CheckConfig, cap: int,
-                       what: str, witness) -> dict:
-    """Certificate for a fast-path failure: the general route's witness,
-    ``witness()``, when n is within the route's ``what`` cap or
-    ``config.override_caps`` is set; otherwise, or when no witness comes
-    out at the tolerance boundary, the lower bound and a note that says
-    which."""
-    if box.n > cap and not config.override_caps:
-        return _unwitnessed(
-            box, f"witness skipped: dimension {box.n} exceeds {what} cap {cap}")
-    return witness() or _unwitnessed(box)
+    rho = spectral_radius_nonneg(rad)
+    tol = config.rho_tol
+    holds = (rho < 1.0 - tol) if strict else (rho <= 1.0 + tol)
+    return holds, "fast:identity-spectral-radius", {"rho": rho}, abs(rho - 1.0) <= tol
 
 
 def _strongly_p(box: IntervalMatrix, config: CheckConfig, notes,
@@ -459,7 +441,7 @@ def _strong_definite(prop: str, box: IntervalMatrix, config: CheckConfig | None,
     config = _cfg(config)
     t0 = time.perf_counter()
     n = box.n
-    _check_cap(n, config.cap_sign_vertex, "sign-vertex", config)
+    _check_cap(n, CAP_SIGN_VERTEX, "sign-vertex", config)
     mid_s = symmetric_part(box.midpoint)
     rad_s = symmetric_part(box.radius)
     test = is_positive_semidefinite if semidefinite else is_positive_definite
@@ -492,13 +474,6 @@ def _lower_symmetric(box: IntervalMatrix) -> np.ndarray:
     return symmetric_part(box.midpoint) - symmetric_part(box.radius)
 
 
-def _copositive_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    def witness():
-        value, x = pc.copositive_minimum(_lower_symmetric(box), override_cap=True)
-        return {"realization": box.lower.copy(), "x": x, "value": value}
-    return _fast_failure_cert(box, config, config.cap_point, "point", witness)
-
-
 def _copositive_midpoint_m(box, config, notes, strict):
     """Symmetrized midpoint an M-matrix: the symmetrized lower bound must
     be an M-matrix (strict) or an M0-matrix."""
@@ -507,13 +482,12 @@ def _copositive_midpoint_m(box, config, notes, strict):
         return None
     lower_s = mid_s - symmetric_part(box.radius)
     ok = pc.is_M(lower_s) if strict else pc.is_M0(lower_s)
-    return ok, "fast:midpoint-M", None if ok else _copositive_false_cert(box, config), False
+    return ok, "fast:midpoint-M", None if ok else {}, False
 
 
 def _copositive_general(box, config, notes, strict):
     lower_s = _lower_symmetric(box)
-    value, x = pc.copositive_minimum(lower_s, cap=config.cap_point,
-                                     override_cap=config.override_caps)
+    value, x = pc.copositive_minimum(lower_s, cap=_cap(config, CAP_POINT_ENUM))
     slack = 1e-9 * float(np.max(np.abs(lower_s), initial=0.0))
     holds = value > slack if strict else value >= -slack
     if holds:
@@ -524,8 +498,7 @@ def _copositive_general(box, config, notes, strict):
 
 
 _COPOSITIVE_FAST = {
-    strict: (partial(_identity_fast, strict=strict,
-                     false_cert=_copositive_false_cert, quadratic=True),
+    strict: (partial(_identity_fast, strict=strict, quadratic=True),
              partial(_copositive_midpoint_m, strict=strict))
     for strict in (False, True)
 }
@@ -546,36 +519,23 @@ def strong_copositive(box: IntervalMatrix, strict: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _semimonotone_cert(box: IntervalMatrix, config: CheckConfig,
-                       override_cap: bool = True) -> dict | None:
-    """The lower bound's first semimonotonicity witness (I, x), or None."""
-    witness = pc.semimonotone_witness(box.lower, cap=config.cap_point,
-                                      override_cap=override_cap)
-    if witness is None:
-        return None
-    I, x = witness
-    return {"realization": box.lower.copy(), "I": I, "x": x}
-
-
-def _semimonotone_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    return _fast_failure_cert(box, config, config.cap_point, "point",
-                              lambda: _semimonotone_cert(box, config))
-
-
 def _semimonotone_midpoint_m0(box, config, notes):
     if not pc.is_M0(box.midpoint):
         return None
     ok = pc.is_M0(box.lower)
-    return ok, "fast:midpoint-M0", None if ok else _semimonotone_false_cert(box, config), False
+    return ok, "fast:midpoint-M0", None if ok else {}, False
 
 
 def _semimonotone_general(box, config, notes):
-    cert = _semimonotone_cert(box, config, config.override_caps)
-    return cert is None, "general:lower-bound-systems", cert
+    """The lower bound's first semimonotonicity witness (I, x)."""
+    hit = pc.semimonotone_witness(box.lower, cap=_cap(config, CAP_POINT_ENUM))
+    cert = None if hit is None else {"realization": box.lower.copy(),
+                                     "I": hit[0], "x": hit[1]}
+    return hit is None, "general:lower-bound-systems", cert
 
 
 _SEMIMONOTONE_FAST = (
-    partial(_identity_fast, strict=False, false_cert=_semimonotone_false_cert),
+    partial(_identity_fast, strict=False),
     _semimonotone_midpoint_m0,
     _strongly_p,
 )
@@ -708,7 +668,7 @@ def strong_nonsingular(box: IntervalMatrix,
     config = _cfg(config)
     t0 = time.perf_counter()
     n = box.n
-    _check_cap(n, config.cap_sign_vertex, "sign-vertex", config)
+    _check_cap(n, CAP_SIGN_VERTEX, "sign-vertex", config)
     method = "general:sign-vertex-determinants"
     fail = _support_failure(box, tuple(range(n)))
     if fail is None:
@@ -727,7 +687,7 @@ def strong_nonsingular(box: IntervalMatrix,
 def _nondegenerate_general(box, config, notes):
     """Support-by-support sign-vertex determinant test (the 5^n route)."""
     n = box.n
-    _check_cap(n, config.cap_nondegenerate, "nondegeneracy", config)
+    _check_cap(n, CAP_NONDEGENERATE, "nondegeneracy", config)
     method = "general:support-sign-determinants"
     for support in nonempty_subsets(n):
         fail = _support_failure(box, support)
@@ -761,16 +721,18 @@ def _leading_minor_witness(box: IntervalMatrix, y: np.ndarray,
     return None
 
 
-def _nondegenerate_fast_false_cert(box: IntervalMatrix,
-                                   config: CheckConfig) -> dict:
-    """The identity path's failure certificate: a leading-minor witness
-    of the lower bound, else the lower bound and a note."""
+def _nondegenerate_identity(box, config, notes):
+    """The identity path, whose failure carries a leading-minor witness of
+    the lower bound when some leading minor is classified nonpositive."""
+    hit = _identity_fast(box, config, notes, strict=True)
+    if hit is None or hit[0]:
+        return hit
     ones = np.ones(box.n)
-    return _leading_minor_witness(box, ones, ones) or _unwitnessed(box)
+    witness = _leading_minor_witness(box, ones, ones) or {}
+    return False, hit[1], {**witness, **hit[2]}, hit[3]
 
 
-def _nondegenerate_pd_false_cert(box: IntervalMatrix,
-                                 pd_verdict: PropertyVerdict) -> dict:
+def _pd_bisection_witness(box: IntervalMatrix, pd_verdict: PropertyVerdict) -> dict:
     """Singular realization from a failed strong-PD vertex via eigenvalue
     bisection along the segment midpoint -> vertex."""
     s = pd_verdict.certificate["s"]
@@ -811,12 +773,12 @@ def _nondegenerate_midpoint_pd(box, config, notes):
     if not (_is_symmetric_box(box) and is_positive_definite(box.midpoint)):
         return None
     sub = strong_pd(box, config)
-    cert = None if sub.holds else _nondegenerate_pd_false_cert(box, sub)
+    cert = None if sub.holds else _pd_bisection_witness(box, sub)
     return sub.holds, "fast:midpoint-PD-via-strong-PD", cert, False
 
 
 _NONDEGENERATE_FAST = (
-    partial(_identity_fast, strict=True, false_cert=_nondegenerate_fast_false_cert),
+    _nondegenerate_identity,
     _nondegenerate_midpoint_m,
     _nondegenerate_midpoint_pd,
     partial(_strongly_p, minors=True),
@@ -860,11 +822,6 @@ def _cs_witness(box: IntervalMatrix) -> dict | None:
             "realization": signed_vertex(box, s, s)}
 
 
-def _cs_fast_false_cert(box: IntervalMatrix, config: CheckConfig) -> dict:
-    return _fast_failure_cert(box, config, config.cap_index_pairs, "index-pair",
-                              lambda: _cs_witness(box))
-
-
 def _cs_midpoint_m(box, config, notes):
     """A midpoint that a sign scaling D_s mid D_s turns into an M-matrix
     (the identity included), with an irreducible radius: the identity is
@@ -878,10 +835,10 @@ def _cs_midpoint_m(box, config, notes):
         notes.append("fast-path midpoint-M inapplicable: radius reducible")
         return None
     if _is_identity(mid):
-        return _rho_verdict(box, box.radius, False, config, _cs_fast_false_cert)
+        return _identity_fast(box, config, notes, strict=False)
     ok = pc.is_M0(np.outer(s, s) * mid - box.radius)
     method = "fast:midpoint-M" if np.all(s == 1) else "fast:sign-scaled-midpoint-M"
-    return ok, method, None if ok else _cs_fast_false_cert(box, config), False
+    return ok, method, None if ok else {}, False
 
 
 def _cs_midpoint_psd(box, config, notes):
@@ -889,15 +846,12 @@ def _cs_midpoint_psd(box, config, notes):
     if not (_is_symmetric_box(box) and is_positive_semidefinite(box.midpoint)):
         return None
     sub = strong_psd(box, config)
-    cert = None
-    if not sub.holds:
-        cert = _cs_fast_false_cert(box, config)
-        cert["s"] = sub.certificate["s"]
+    cert = None if sub.holds else {"s": sub.certificate["s"]}
     return sub.holds, "fast:midpoint-PSD-via-strong-PSD", cert, False
 
 
 def _cs_general(box, config, notes):
-    _check_cap(box.n, config.cap_index_pairs, "index-pair", config)
+    _check_cap(box.n, CAP_INDEX_PAIRS, "index-pair", config)
     cert = _cs_witness(box)
     return cert is None, "general:signed-block-systems", cert
 
@@ -979,33 +933,21 @@ def _index_witness(box: IntervalMatrix, with_t: bool) -> dict | None:
     return None
 
 
-def _index_false_cert(box: IntervalMatrix, config: CheckConfig, with_t: bool) -> dict:
-    return _fast_failure_cert(box, config, config.cap_index_pairs, "index-set",
-                              lambda: _index_witness(box, with_t))
-
-
-def _index_midpoint_m(box, config, notes, with_t):
+def _index_midpoint_m(box, config, notes):
     """An M-matrix midpoint: strong R0 and strong R reduce to strong H."""
     if not pc.is_M(box.midpoint):
         return None
     sub = strong_h(box, config)
-    cert = None if sub.holds else _index_false_cert(box, config, with_t)
-    return sub.holds, "fast:midpoint-M-via-strong-H", cert, False
+    return sub.holds, "fast:midpoint-M-via-strong-H", None if sub.holds else {}, False
 
 
 def _index_general(box, config, notes, with_t):
-    _check_cap(box.n, config.cap_index_pairs, "index-set", config)
+    _check_cap(box.n, CAP_INDEX_PAIRS, "index-set", config)
     cert = _index_witness(box, with_t)
     return cert is None, "general:index-systems", cert
 
 
-_INDEX_FAST = {
-    with_t: (partial(_identity_fast, strict=True,
-                     false_cert=partial(_index_false_cert, with_t=with_t)),
-             partial(_index_midpoint_m, with_t=with_t),
-             _strongly_p)
-    for with_t in (False, True)
-}
+_INDEX_FAST = (partial(_identity_fast, strict=True), _index_midpoint_m, _strongly_p)
 
 
 def strong_r0(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
@@ -1013,14 +955,14 @@ def strong_r0(box: IntervalMatrix, config: CheckConfig | None = None) -> Propert
     upper_II x >= 0 and lower_JI x >= 0. Fast paths: identity midpoint
     (rho(radius) < 1), M-matrix midpoint (reduces to strong H) and a
     strongly H box with a positive diagonal (:func:`_strongly_p`)."""
-    return _decide("r0", box, config, _INDEX_FAST[False],
+    return _decide("r0", box, config, _INDEX_FAST,
                    partial(_index_general, with_t=False))
 
 
 def strong_r(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong R: same index-set sweep as strong R0 with the extra scalar
     t >= 0 entering every row. Fast paths as for strong R0."""
-    return _decide("r", box, config, _INDEX_FAST[True],
+    return _decide("r", box, config, _INDEX_FAST,
                    partial(_index_general, with_t=True))
 
 

@@ -26,7 +26,7 @@ LP_TOL = 1e-9
 # Complementarity solutions: residual / nonnegativity slack.
 LCP_TOL = 1e-8
 
-# Default enumeration caps (overridable through CheckConfig / CLI flags).
+# Default enumeration caps (CheckConfig.cap / --cap replaces all of them).
 CAP_POINT_ENUM = 16       # 2^n / 3^n subset enumerations on a real matrix
 CAP_SIGN_VERTEX = 14      # 2^n sign-vertex enumerations on a box
 CAP_INDEX_PAIRS = 10      # 3^n disjoint index-pair enumerations on a box

@@ -77,3 +77,23 @@ def test_no_power_iteration_or_tolerance_knobs():
              for p in inspect.signature(f).parameters
              if p in ("tol", "max_iterations", "max_pivots")]
     assert knobs == []
+
+
+def test_one_cap_and_one_fast_failure_rule():
+    # One cap bounds every enumeration and nothing overrides it; a
+    # fast-path failure without a witness of its own takes the general
+    # route's inside strong._decide.
+    import dataclasses
+    import inspect
+
+    import lcpbox.pointclasses as pc
+    import lcpbox.strong as strong
+    assert tuple(f.name for f in dataclasses.fields(strong.CheckConfig)) == (
+        "rho_tol", "fast_paths", "cap")
+    assert [name for name in ("_fast_failure_cert", "_unwitnessed", "with_all_caps")
+            if hasattr(strong, name)] == []
+    assert not hasattr(strong.CheckConfig, "with_all_caps")
+    overrides = [name for name, f in inspect.getmembers(pc, inspect.isfunction)
+                 if f.__module__ == pc.__name__
+                 and "override_cap" in inspect.signature(f).parameters]
+    assert overrides == []

@@ -126,6 +126,15 @@ class TestQpConversion:
                 np.zeros((2, 2)),
             )
 
+    @pytest.mark.parametrize("c", [1.0, 1e12])
+    def test_symmetry_check_is_scale_invariant(self, c):
+        # The asymmetry 5e-10 is the largest entry itself, at either scale.
+        C = c * np.array([[1e-12, 5e-10], [0.0, 1e-12]])
+        with pytest.raises(ValueError, match="symmetric"):
+            lb.QpInstance(C=C, d=[0, 0], B=[[1, 1]], b=[1])
+        sym = c * np.array([[1e-12, 5e-10], [5e-10 * (1 + 1e-12), 1e-12]])
+        assert np.array_equal(lb.QpInstance(C=sym, d=[0, 0], B=[[1, 1]], b=[1]).C, sym)
+
 
 class TestDownstreamMeaning:
     def test_strong_r_implies_solvability(self, box3_10):

@@ -257,3 +257,10 @@ class TestInverseNonnegative:
         assert lb.inverse_nonnegative([[2, -1], [-1, 2]])
         assert not lb.inverse_nonnegative([[0, -1], [0, 0]])  # singular
         assert not lb.inverse_nonnegative([[1, 2], [2, 1]])  # inverse has negatives
+
+    @pytest.mark.parametrize("c", [10.0 ** e for e in range(-6, 13)])
+    def test_scale_invariant(self, c):
+        # The slack is relative to max|inverse|, which shrinks as c grows:
+        # an absolute floor let the -1/(3c) entry pass for c >= 1e9.
+        assert not lb.inverse_nonnegative(c * np.array([[1.0, 0.5], [-1.0, 1.0]]))
+        assert lb.inverse_nonnegative(c * np.array([[2.0, -1.0], [-1.0, 2.0]]))

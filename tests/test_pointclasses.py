@@ -386,4 +386,4 @@ class TestDimensionCaps:
     def test_override_allows_it(self):
         from lcpbox.pointclasses import is_semimonotone
 
-        assert is_semimonotone(np.eye(17), override_cap=True)
+        assert is_semimonotone(np.eye(17), cap=17)

@@ -233,38 +233,39 @@ class TestCli:
         code, _ = self.run("falsify", "--file", path, "--property", prop)
         assert code == 3
 
-    def test_copositive_fast_failure_within_lowered_caps(self, tmp_path):
+    def test_copositive_fast_failure_within_lowered_caps(self, tmp_path, capsys):
+        # A fast-path "fails" takes its witness from the general route, so
+        # a cap below n refuses it as --fast-paths off does.
         path = write_json(tmp_path, "id4.json", {
             "n": 4, "midpoint": np.eye(4).tolist(),
             "radius": (0.4 * np.ones((4, 4))).tolist(),
         })
-        code, text = self.run("check", "--file", path, "--cap", "3",
-                              "--properties", "copositive,strictly-copositive")
-        assert code == 1
         for prop in ("copositive", "strictly-copositive"):
-            line = next(l for l in text.splitlines()
-                        if l.split()[:2] == ["strong", prop])
-            assert line.split()[2:] == ["FAILS", "via",
-                                        "fast:identity-spectral-radius"]
+            for fast_paths in ("auto", "off"):
+                code, text = self.run("check", "--file", path, "--cap", "3",
+                                      "--fast-paths", fast_paths,
+                                      "--properties", prop)
+                assert code == 3 and text == ""
+                assert "exceeds enumeration cap 3" in capsys.readouterr().err
 
-    def test_fast_failure_above_cap_says_why_no_witness(self, tmp_path):
+    def test_fast_failure_above_cap_says_why_no_witness(self, tmp_path, capsys):
+        # Above the general route's cap a fast-path failure has no witness;
+        # the CLI exits 3 and names the cap that refused it.
         path = write_json(tmp_path, "id4.json", {
             "n": 4, "midpoint": np.eye(4).tolist(),
             "radius": (0.4 * np.ones((4, 4))).tolist(),
         })
-        code, text = self.run("check", "--file", path, "--cap", "3",
-                              "--format", "json", "--properties",
-                              "copositive,semimonotone,column-sufficient,r")
-        assert code == 1
-        notes = {p["property"]: p["certificate"]["note"]
-                 for p in json.loads(text)["properties"]}
-        assert notes == {
-            "copositive": "witness skipped: dimension 4 exceeds point cap 3",
-            "semimonotone": "witness skipped: dimension 4 exceeds point cap 3",
-            "column-sufficient":
-                "witness skipped: dimension 4 exceeds index-pair cap 3",
-            "r": "witness skipped: dimension 4 exceeds index-set cap 3",
+        errors = {
+            "copositive": "dimension 4 exceeds enumeration cap 3",
+            "semimonotone": "dimension 4 exceeds enumeration cap 3",
+            "column-sufficient": "dimension 4 exceeds index-pair cap 3",
+            "r": "dimension 4 exceeds index-set cap 3",
         }
+        for prop, error in errors.items():
+            code, text = self.run("check", "--file", path, "--cap", "3",
+                                  "--format", "json", "--properties", prop)
+            assert code == 3 and text == ""
+            assert error in capsys.readouterr().err
 
     def test_row_scaled_strongly_h_box_holds(self, tmp_path):
         # Each row dominant by a factor of 1 + 1e-7, the second row about
