@@ -16,15 +16,12 @@ enumeration cap each chunk is decided in batch:
 * Nondegeneracy, P and nonsingularity by batched determinant signs, which
   classify exactly as the point deciders do.
 * R0, R, semimonotonicity and column sufficiency by a screen that proves
-  most matrices pass and flags the rest. R0 flags a diagonal entry near
-  zero; R flags a 1x1 block by the point decider's own rule, a_ii <= ztol
-  and min over j != i of a_ji - a_ii >= -ztol. Both flag a block
-  classified singular. R also flags a nonsingular block whose closed form
-  w = A_II^-1 e comes near a witness: max w below 1e-9 * max|w| and
-  max(A_JI w) at most 1 + 1e-6, looser than the point decider's own test,
-  so that a last-bit difference of the stacked solve cannot hide a
-  failure. Semimonotonicity and column sufficiency flag a negative
-  diagonal entry, and a principal (or signed) block B that neither a
+  most matrices pass and flags the rest. R0 and R apply the point
+  decider's own 1x1 rule and, for R, its closed form on a block classified
+  nonsingular, both written once for a matrix and a stack, so they flag
+  exactly the matrices those rules fail; both also flag every block
+  classified singular. Semimonotonicity and column sufficiency flag a
+  negative diagonal entry, and a principal (or signed) block B that neither a
   nonnegative row nor a Gordan certificate clears: y >= 0 with
   y^T B >= 1e-6 * max|y| * max|B|, a margin no tolerance-feasible LP
   witness meets. The certificates tried are y = e, y = B^-T e and, along
@@ -189,47 +186,18 @@ def _certificate_clears(B: np.ndarray, certificates: dict, key) -> np.ndarray:
     return _certified(np.broadcast_to(y, B.shape[:2]), B, margin)
 
 
-def _r_closed_form_maybe(stack: np.ndarray, I, J) -> np.ndarray:
-    """Matrices of ``stack`` (all with a nonsingular ``I`` block) on which
-    :func:`pointclasses.r_witness`'s closed form may find a witness:
-    w = A_II^-1 e with max w < 1e-9 * max|w| and, if J is nonempty,
-    max(A_JI w) <= 1 + 1e-6, a superset of its max w < 0 and
-    max(A_JI w) <= 1 + 1e-9."""
-    idx = list(I)
-    w = np.linalg.solve(stack[:, idx][:, :, idx],
-                        np.ones((len(stack), len(idx), 1)))[..., 0]
-    maybe = np.max(w, axis=1) < 1e-9 * np.max(np.abs(w), axis=1)
-    if J:
-        AJI = stack[:, list(J)][:, :, idx]
-        maybe &= np.max(np.einsum("vij,vj->vi", AJI, w), axis=1) <= 1.0 + 1e-6
-    return maybe
-
-
-def _r_singletons(stack: np.ndarray) -> np.ndarray:
-    """Matrices of ``stack`` with a 1x1 witness by
-    :func:`pointclasses.r_witness`'s rule, with its zero tolerance
-    ztol = 1e-12 * max|entry|: a_ii <= ztol and a_ji - a_ii >= -ztol for
-    every j != i."""
-    n = stack.shape[-1]
-    diag = np.diagonal(stack, axis1=-2, axis2=-1)
-    ztol = 1e-12 * np.max(np.abs(stack), axis=(-2, -1))[:, None]
-    gap = stack - diag[:, None, :]  # a_ji - a_ii in column i
-    gap[:, range(n), range(n)] = np.inf
-    return np.any((diag <= ztol) & (np.min(gap, axis=1) >= -ztol), axis=1)
-
-
 def _maybe_fails(stack: np.ndarray, token: str, signs,
                  certificates: dict | None = None) -> np.ndarray:
     """Mask of the matrices in ``stack`` that this screen cannot prove
     satisfy ``token`` (r0, r, semimonotone or column-sufficient). Every
     matrix the point decider rejects is in the mask.
 
-    * r0 and r: a 1x1 block (r0: |a_ii| <= ztol, with the point deciders'
-      zero tolerance ztol = 1e-12 * max|entry|; r: :func:`_r_singletons`),
+    * r0 and r: a 1x1 witness by :func:`pointclasses._index_singletons`,
       a block of size >= 2 that ``signs(I)``, the block's
       :func:`batch_minor_signs`, classifies singular, as
       :func:`pointclasses.minor_sign` does, or for r a nonsingular block
-      whose closed form may give a witness (:func:`_r_closed_form_maybe`).
+      with a witness by :func:`pointclasses._r_closed_form`. Both are the
+      point decider's own rules, stacked.
     * semimonotone and column-sufficient: a negative diagonal entry, or a
       principal block (semimonotone) or signed block of a disjoint pair
       (column-sufficient, :func:`pointclasses._signed_block`, the point
@@ -238,14 +206,8 @@ def _maybe_fails(stack: np.ndarray, token: str, signs,
       :func:`_certificate_clears`.
     """
     n = stack.shape[-1]
-    diag = np.diagonal(stack, axis1=-2, axis2=-1)
-    if token == "r":
-        maybe = _r_singletons(stack)
-    elif token == "r0":
-        ztol = 1e-12 * np.max(np.abs(stack), axis=(-2, -1))[:, None]
-        maybe = np.any(np.abs(diag) <= ztol, axis=1)
-    else:
-        maybe = np.any(diag < 0.0, axis=1)
+    if token in ("semimonotone", "column-sufficient"):
+        maybe = np.any(np.diagonal(stack, axis1=-2, axis2=-1) < 0.0, axis=1)
         pairs = (disjoint_index_pairs(n) if token == "column-sufficient"
                  else ((I, ()) for I in nonempty_subsets(n)))
         for I, J in pairs:
@@ -262,6 +224,7 @@ def _maybe_fails(stack: np.ndarray, token: str, signs,
                                                     (I, J))
             maybe[rest] = ~clear
         return maybe
+    maybe = np.any(pc._index_singletons(stack, stack, token == "r")[0], axis=1)
     for I in nonempty_subsets(n):
         rest = np.flatnonzero(~maybe)
         if rest.size == 0:
@@ -271,9 +234,10 @@ def _maybe_fails(stack: np.ndarray, token: str, signs,
         singular = signs(I)[rest] == 0
         maybe[rest[singular]] = True
         if token == "r":
-            rest = rest[~singular]
+            rest, idx = rest[~singular], list(I)
             J = [j for j in range(n) if j not in I]
-            maybe[rest] = _r_closed_form_maybe(stack[rest], I, J)
+            maybe[rest] = pc._r_closed_form(stack[np.ix_(rest, idx, idx)],
+                                            stack[np.ix_(rest, J, idx)])[0]
     return maybe
 
 

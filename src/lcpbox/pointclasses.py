@@ -6,9 +6,11 @@ Each test follows the defining system of its class directly; the
 exponential ones enumerate index sets by increasing cardinality
 (lexicographic within) so the first witness is deterministic.
 
-The column-sufficiency and index (R0, R) systems take two bounds, and a
+The column-sufficiency and index (R0, R) sweeps take two bounds, and a
 matrix passes itself twice; the strong routes pass a box's bounds to the
-same builders, and the falsifier's screen its realization stacks.
+same sweeps. The index sweep's 1x1 rule and R's closed form take one
+matrix or a stack alike, and the falsifier's screen applies them to its
+realization stacks. Every entry tolerance is :func:`_ztol`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .linalg import (
     symmetric_part,
 )
 from .lp import EQ, GE, LE, LinearSystem, feasible_positive_strict, solve_feasibility
-from .tolerances import CAP_POINT_ENUM, EIG_TOL, RHO_TOL
+from .tolerances import CAP_POINT_ENUM, EIG_TOL, RHO_TOL, ZERO_TOL
 
 __all__ = [
     "PointProperty",
@@ -89,9 +91,14 @@ def _square(A) -> np.ndarray:
     return M
 
 
-def _ztol(A: np.ndarray) -> float:
-    # scale-relative so classifications commute with positive rescaling
-    return 1e-12 * float(np.abs(A).max(initial=0.0))
+def _ztol(lower: np.ndarray, upper: np.ndarray | None = None):
+    """ZERO_TOL * max|entry| of one matrix, or of both bounds: a float for
+    a matrix, one value per matrix of a (..., n, n) stack. Scale-relative,
+    so classifications commute with positive rescaling."""
+    m = np.abs(lower).max(axis=(-2, -1), initial=0.0)
+    if upper is not None and upper is not lower:
+        m = np.maximum(m, np.abs(upper).max(axis=(-2, -1), initial=0.0))
+    return ZERO_TOL * (m if m.ndim else float(m))
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -303,7 +310,7 @@ def _signed_block_witness(lower: np.ndarray, upper: np.ndarray):
     maps some x > 0 to a nonzero nonpositive vector, else None. Pairs are
     enumerated up to the (I,J) <-> (J,I) block symmetry; a 1x1 block is
     decided by its entry against the zero tolerance of both bounds."""
-    ztol = max(_ztol(lower), _ztol(upper))
+    ztol = _ztol(lower, upper)
     for I, J in disjoint_index_pairs(lower.shape[0]):
         if len(I) + len(J) == 1:
             if lower[I[0], I[0]] < -ztol:
@@ -386,51 +393,84 @@ def _index_system(lower: np.ndarray, upper: np.ndarray, I, J,
     return LinearSystem(coeffs, tuple(rels), np.zeros(coeffs.shape[0]), bounds), norm
 
 
-def _index_witness(A, with_t: bool, cap: int):
-    """First (I, x, t) with A_II x + e t = 0, A_JI x + e t >= 0, x > 0 and
-    t >= 0 (R, ``with_t``), or with t = 0 (R0), else None."""
-    M = _square(A)
-    n = M.shape[0]
-    _check_cap(n, cap)
-    ztol = _ztol(M)
+def _index_singletons(lower: np.ndarray, upper: np.ndarray, with_t: bool):
+    """The 1x1 index systems of the two bounds, for one matrix or each
+    matrix of a (..., n, n) stack: (hit, t), each (..., n). Set {i} takes
+    x = 1 and the least t its rows allow, max(0, -upper_ii, -min_{j != i}
+    lower_ji) (R, ``with_t``) or t = 0 (R0), and is a hit when its rows
+    hold within the zero tolerance of both bounds."""
+    n = lower.shape[-1]
+    diag = np.diagonal(lower, axis1=-2, axis2=-1)
+    off = lower.copy()
+    off[..., range(n), range(n)] = np.inf
+    # min_{j != i} lower_ji, row by row: numpy reduces a short axis slowly
+    column_min = off[..., 0, :]
+    for j in range(1, n):
+        column_min = np.minimum(column_min, off[..., j, :])
+    need = np.maximum(-np.diagonal(upper, axis1=-2, axis2=-1), -column_min)
+    # + 0.0 turns the -0.0 of a zero bound into 0.0
+    t = np.maximum(0.0, need) + 0.0 if with_t else np.zeros_like(diag)
+    ztol = np.asarray(_ztol(lower, upper))[..., None]
+    return (diag + t <= ztol) & (need - t <= ztol), t
+
+
+def _r_closed_form(A_II: np.ndarray, A_JI: np.ndarray):
+    """R's index system on a nonsingular block, for one matrix or a stack:
+    (hit, w) with w = A_II^-1 e. t = 0 would force x = 0, so x = -t w with
+    t > 0, which exists iff w < 0 and A_JI w <= e (with the LP rows' slack
+    1e-9); then t = max(1 / -w). A_JI w is summed column by column, so a
+    stack classifies bit-identically to its matrices one at a time."""
+    w = np.linalg.solve(A_II, np.ones(A_II.shape[:-1] + (1,)))[..., 0]
+    hit = np.max(w, axis=-1) < 0.0
+    if A_JI.shape[-2]:
+        Aw = A_JI[..., 0] * w[..., None, 0]
+        for c in range(1, w.shape[-1]):
+            Aw = Aw + A_JI[..., c] * w[..., None, c]
+        hit &= np.max(Aw, axis=-1) <= 1.0 + 1e-9
+    return hit, w
+
+
+def _index_witness(lower: np.ndarray, upper: np.ndarray, with_t: bool):
+    """First (I, x, t) whose index system of the two bounds is feasible
+    (R, ``with_t``; R0 with t = 0), else None. 1x1 sets are decided by
+    :func:`_index_singletons`. When the bounds are equal, a block
+    classified nonsingular has no R0 witness (A_II x = 0 with x > 0 needs a
+    singular block) and is decided by :func:`_r_closed_form` for R; every
+    other set is the LP :func:`_index_system`."""
+    n = lower.shape[0]
+    hit, t = _index_singletons(lower, upper, with_t)
+    singles = np.flatnonzero(hit)
+    if singles.size:
+        i = int(singles[0])
+        return (i,), np.array([1.0]), float(t[i])
+    point = np.array_equal(lower, upper)
     for I in nonempty_subsets(n):
-        J = [j for j in range(n) if j not in I]
+        if len(I) == 1:
+            continue
         idx = list(I)
-        k = len(idx)
-        if k == 1:
-            a = M[I[0], I[0]]
-            # R takes t = -a; R0 needs a zero entry.
-            shift = a if with_t else 0.0
-            if ((a <= ztol if with_t else abs(a) <= ztol)
-                    and (not J or np.min(M[J, I[0]] - shift) >= -ztol)):
-                return I, np.array([1.0]), max(0.0, -float(shift))
+        J = [j for j in range(n) if j not in I]
+        if point and minor_sign(lower, I) != 0:
+            if with_t:
+                found, w = _r_closed_form(lower[np.ix_(idx, idx)],
+                                          lower[np.ix_(J, idx)])
+                if found:
+                    t_val = float(np.max(1.0 / -w))
+                    return I, -t_val * w, t_val
             continue
-        if minor_sign(M, I) != 0:
-            # A_II x = 0 with x > 0 needs a singular block, so R0 skips it.
-            # For R, t = 0 would force x = 0, so t > 0 and x = -t * w with
-            # w = A_II^{-1} e; feasibility is closed form. The row
-            # comparisons carry the same slack the LP rows would.
-            if not with_t:
-                continue
-            w = np.linalg.solve(M[np.ix_(idx, idx)], np.ones(k))
-            if np.max(w) < 0.0 and (
-                not J or np.max(M[np.ix_(J, idx)] @ w) <= 1.0 + 1e-9
-            ):
-                t_val = float(np.max(1.0 / -w))
-                return I, -t_val * w, t_val
-            continue
-        system, norm = _index_system(M, M, I, J, with_t)
+        system, norm = _index_system(lower, upper, I, J, with_t)
         res = solve_feasibility(system)
         if res.feasible:
-            # t was solved against A/norm; undo the scaling
-            t_val = float(res.witness[k]) * norm if with_t else 0.0
-            return I, res.witness[:k], t_val
+            # t was solved against the bounds / norm; undo the scaling
+            t_val = float(res.witness[len(I)]) * norm if with_t else 0.0
+            return I, res.witness[:len(I)], t_val
     return None
 
 
 def r0_witness(A, cap: int = CAP_POINT_ENUM):
     """First (I, x) with A_II x = 0, A_JI x >= 0, x > 0, else None."""
-    hit = _index_witness(A, False, cap)
+    M = _square(A)
+    _check_cap(M.shape[0], cap)
+    hit = _index_witness(M, M, False)
     return None if hit is None else hit[:2]
 
 
@@ -442,7 +482,9 @@ def is_R0(A, cap: int = CAP_POINT_ENUM) -> bool:
 def r_witness(A, cap: int = CAP_POINT_ENUM):
     """First (I, x, t) with A_II x + e t = 0, A_JI x + e t >= 0, x > 0,
     t >= 0, else None."""
-    return _index_witness(A, True, cap)
+    M = _square(A)
+    _check_cap(M.shape[0], cap)
+    return _index_witness(M, M, True)
 
 
 def is_R(A, cap: int = CAP_POINT_ENUM) -> bool:

@@ -137,8 +137,8 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def report_to_json(report: Report, indent: int | None = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent)
+def report_to_json(report: Report) -> str:
+    return json.dumps(report_to_dict(report), indent=2)
 
 
 def report_from_json(text: str) -> dict:

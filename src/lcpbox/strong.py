@@ -14,7 +14,9 @@ against the point-level definitions before reporting.
 
 The properties with fast paths are decided through one driver,
 :func:`_decide`, where a fast path that fails without a witness of its
-own takes the general route's; strong R0 is the t = 0 case of strong R.
+own takes the general route's. The general routes of column sufficiency,
+R0 and R are the point deciders' own sweeps on the box's two bounds;
+strong R0 is the t = 0 case of strong R.
 Every determinant sign, in the sign-vertex sweeps and the singular-block
 bisection alike, is classified by :func:`lcpbox.linalg.minor_sign`'s zero
 rule, which reads only the block's own rows.
@@ -51,7 +53,8 @@ from .linalg import (
     spectral_radius_nonneg,
     symmetric_part,
 )
-from .lp import feasible_positive_strict, solve_feasibility
+# solve_feasibility is unused here; perfbench's tracer test pins the binding.
+from .lp import feasible_positive_strict, solve_feasibility  # noqa: F401
 from .tolerances import (
     CAP_INDEX_PAIRS,
     CAP_NONDEGENERATE,
@@ -169,16 +172,12 @@ def _check_cap(n: int, default: int, what: str, config: CheckConfig) -> None:
         raise DimensionCapError(f"dimension {n} exceeds {what} cap {cap}")
 
 
-def _ztol(box: IntervalMatrix) -> float:
-    return max(pc._ztol(box.lower), pc._ztol(box.upper))
-
-
 def _is_identity(M: np.ndarray) -> bool:
     return bool(np.array_equal(M, np.eye(M.shape[0])))
 
 
 def _is_symmetric_box(box: IntervalMatrix) -> bool:
-    tol = _ztol(box)
+    tol = pc._ztol(box.lower, box.upper)
     return bool(
         np.all(np.abs(box.midpoint - box.midpoint.T) <= tol)
         and np.all(np.abs(box.radius - box.radius.T) <= tol)
@@ -379,7 +378,7 @@ def strong_s(box: IntervalMatrix, config: CheckConfig | None = None) -> Property
 def _upper_positive_offdiag(box: IntervalMatrix) -> tuple[int, int] | None:
     """The first off-diagonal entry of the upper bound above zero, if any."""
     off = box.upper - np.diag(np.diag(box.upper))
-    bad = np.argwhere(off > _ztol(box))
+    bad = np.argwhere(off > pc._ztol(box.lower, box.upper))
     return None if bad.size == 0 else (int(bad[0][0]), int(bad[0][1]))
 
 
@@ -914,25 +913,6 @@ def _r_realization(box: IntervalMatrix, I, x: np.ndarray, t: float) -> np.ndarra
     return A
 
 
-def _index_witness(box: IntervalMatrix, with_t: bool) -> dict | None:
-    """The first index set I whose strong R (``with_t``) or R0 system is
-    feasible, as a certificate (I, x, t for R, and a realization), or None
-    when every system is infeasible."""
-    n = box.n
-    for I in nonempty_subsets(n):
-        J = [j for j in range(n) if j not in I]
-        system, norm = pc._index_system(box.lower, box.upper, I, J, with_t)
-        res = solve_feasibility(system)
-        if res.feasible:
-            x = res.witness[: len(I)]
-            if not with_t:
-                return {"I": I, "x": x, "realization": _r_realization(box, I, x, 0.0)}
-            t_val = float(res.witness[len(I)]) * norm
-            return {"I": I, "x": x, "t": t_val,
-                    "realization": _r_realization(box, I, x, t_val)}
-    return None
-
-
 def _index_midpoint_m(box, config, notes):
     """An M-matrix midpoint: strong R0 and strong R reduce to strong H."""
     if not pc.is_M(box.midpoint):
@@ -942,9 +922,16 @@ def _index_midpoint_m(box, config, notes):
 
 
 def _index_general(box, config, notes, with_t):
+    """The point deciders' index-set sweep on the two bounds; a witness
+    (I, x, t) becomes a certificate with its realization."""
     _check_cap(box.n, CAP_INDEX_PAIRS, "index-set", config)
-    cert = _index_witness(box, with_t)
-    return cert is None, "general:index-systems", cert
+    hit = pc._index_witness(box.lower, box.upper, with_t)
+    if hit is None:
+        return True, "general:index-systems", None
+    I, x, t = hit
+    cert = {"I": I, "x": x, "t": t} if with_t else {"I": I, "x": x}
+    cert["realization"] = _r_realization(box, I, x, t)
+    return False, "general:index-systems", cert
 
 
 _INDEX_FAST = (partial(_identity_fast, strict=True), _index_midpoint_m, _strongly_p)

@@ -14,6 +14,10 @@ the Perron root needs no tolerance.
 # to max|entry|.
 PIVOT_TOL = 1e-10
 
+# Entry zero rule (lcpbox.pointclasses._ztol): an entry within ZERO_TOL *
+# max|entry| of its matrix, or of both bounds of a box, counts as zero.
+ZERO_TOL = 1e-12
+
 # Eigenvalue / semidefiniteness: lambda_min >= -EIG_TOL * ||M||_inf passes.
 EIG_TOL = 1e-9
 

@@ -97,3 +97,15 @@ def test_one_cap_and_one_fast_failure_rule():
                  if f.__module__ == pc.__name__
                  and "override_cap" in inspect.signature(f).parameters]
     assert overrides == []
+
+
+def test_one_index_set_route():
+    # The point deciders, the strong R0/R route and the falsifier screen
+    # share pointclasses._index_witness, its 1x1 rule and R's closed form,
+    # and one zero tolerance.
+    import lcpbox.oracle as oracle
+    import lcpbox.strong as strong
+    assert [name for name in ("_index_witness", "_ztol")
+            if hasattr(strong, name)] == []
+    assert [name for name in ("_r_singletons", "_r_closed_form_maybe")
+            if hasattr(oracle, name)] == []

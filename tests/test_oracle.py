@@ -9,7 +9,9 @@ from lcpbox.oracle import falsify
 from lcpbox.errors import DimensionCapError
 from lcpbox.linalg import batch_minor_signs
 from lcpbox.lp import LpEngineError
-from lcpbox.pointclasses import PointProperty, is_nonsingular, point_check, r_witness
+from lcpbox.intervals import nonempty_subsets
+from lcpbox.pointclasses import (PointProperty, _index_singletons, _r_closed_form,
+                                 is_nonsingular, point_check, r0_witness, r_witness)
 from lcpbox.tolerances import CAP_POINT_ENUM
 from lcpbox.strong import PropertyVerdict
 from brute import brute_copositive
@@ -398,26 +400,64 @@ def test_screen_flags_every_failure(token):
 
 
 def test_r_singletons_match_the_point_rule():
-    # R's screen flags a 1x1 block exactly as r_witness does, which tries
-    # every 1x1 block before any larger one. On the boundary probes the
-    # size-2 blocks' closed form flags the same matrices, so the 1x1 rule
-    # is compared on its own.
-    hits = {True: 0, False: 0}
+    # The index sweep's 1x1 rule, _index_singletons, flags a stack exactly
+    # as r_witness and r0_witness find a 1x1 witness; both try every 1x1
+    # block before any larger one. R0 is probed on the same matrices with
+    # the probed column shifted by 0.5, so that its diagonal entry is 0 and
+    # R's boundary a_ji - a_ii >= -ztol becomes R0's a_ji >= -ztol.
+    hits = {(with_t, single): 0 for with_t in (False, True)
+            for single in (False, True)}
     for n in (1, 2, 3, 4, 5):
         rng = np.random.default_rng(90 + n)
-        stack = _r_diagonal_probes(rng, 40, n)
-        stack = np.concatenate([stack, 10.0 ** rng.uniform(-3, 3, (40, n, 1))
-                                * stack * 10.0 ** rng.uniform(-3, 3, (40, 1, n))])
-        mask = oracle._r_singletons(stack)
-        for v, A in enumerate(stack):
-            try:
-                hit = r_witness(A)
-            except LpEngineError:  # raised past the 1x1 blocks
-                hit = None
-            singleton = hit is not None and len(hit[0]) == 1
-            assert mask[v] == singleton, A.tolist()
-            hits[singleton] += 1
+        probes = _r_diagonal_probes(rng, 40, n)
+        column = np.diagonal(probes, axis1=1, axis2=2) == -0.5
+        rows = 10.0 ** rng.uniform(-3, 3, (40, n, 1))
+        cols = 10.0 ** rng.uniform(-3, 3, (40, 1, n))
+        for with_t, stack, witness in (
+                (True, probes, r_witness),
+                (False, probes + 0.5 * column[:, None, :], r0_witness)):
+            stack = np.concatenate([stack, rows * stack * cols])
+            mask = _index_singletons(stack, stack, with_t)[0].any(axis=1)
+            for v, A in enumerate(stack):
+                try:
+                    hit = witness(A)
+                except LpEngineError:  # raised past the 1x1 blocks
+                    hit = None
+                single = hit is not None and len(hit[0]) == 1
+                assert mask[v] == single, (with_t, A.tolist())
+                hits[with_t, single] += 1
     assert min(hits.values()) >= 50
+
+
+def test_index_rules_classify_a_stack_as_its_matrices():
+    # The screen applies the point decider's 1x1 rule and R's closed form
+    # to whole stacks; each matrix of a stack must get exactly the result
+    # of its own call, t and w to the bit.
+    rng = np.random.default_rng(7)
+    stacks = [_r_diagonal_probes(rng, 40, 1)]
+    for n in (2, 3, 4, 5):
+        stacks += _screen_stacks(n).values()
+    closed_forms = 0
+    for stack in stacks:
+        n = stack.shape[-1]
+        for with_t in (False, True):
+            hit, t = _index_singletons(stack, stack, with_t)
+            for v, A in enumerate(stack):
+                one_hit, one_t = _index_singletons(A, A, with_t)
+                assert np.array_equal(one_hit, hit[v])
+                assert one_t.tobytes() == t[v].tobytes()
+        for I in nonempty_subsets(n):
+            if len(I) < 2:
+                continue
+            idx, J = list(I), [j for j in range(n) if j not in I]
+            sub = stack[batch_minor_signs(stack, I) != 0]
+            hit, w = _r_closed_form(sub[:, idx][:, :, idx], sub[:, J][:, :, idx])
+            for v, A in enumerate(sub):
+                one_hit, one_w = _r_closed_form(A[np.ix_(idx, idx)],
+                                                A[np.ix_(J, idx)])
+                assert one_hit == hit[v] and one_w.tobytes() == w[v].tobytes()
+                closed_forms += 1
+    assert closed_forms >= 1000
 
 
 @pytest.mark.parametrize("token", ["semimonotone", "column-sufficient"])

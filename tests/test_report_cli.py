@@ -286,6 +286,21 @@ class TestCli:
             lb.DEFAULT_CHECK_PROPERTIES)
         assert all(p["holds"] for p in data["properties"])
 
+    def test_tiny_positive_diagonal_is_no_r0_or_r_witness(self, tmp_path):
+        # Every realization is diagonal with a positive diagonal, so the box
+        # is strongly R0 and R. The 1x1 set (0,) is decided against the zero
+        # tolerance of both bounds, 2e-12, which 1e-11 exceeds.
+        path = write_json(tmp_path, "d.json", {
+            "n": 2, "lower": [[1e-11, 0], [0, 1]], "upper": [[1, 0], [0, 2]],
+        })
+        for fast_paths in ("auto", "off"):
+            code, text = self.run("check", "--file", path, "--format", "json",
+                                  "--properties", "r0,r",
+                                  "--fast-paths", fast_paths)
+            assert code == 0, fast_paths
+            for p in json.loads(text)["properties"]:
+                assert p["holds"] and p["method"] == "general:index-systems"
+
     def test_unknown_property_exit_two(self):
         code, _ = self.run("check", "--file", str(DATA / "box3_10pct.json"),
                            "--properties", "nonsense")

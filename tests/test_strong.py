@@ -7,7 +7,7 @@ import lcpbox as lb
 from lcpbox.errors import DimensionCapError, FastPathUnavailableError
 from lcpbox.intervals import sign_vectors
 from lcpbox.linalg import batch_det_signs, minor_sign
-from lcpbox.pointclasses import is_nonsingular
+from lcpbox.pointclasses import is_nonsingular, r0_witness, r_witness
 from lcpbox.strong import (
     _SWEEP_CHUNK,
     ALL_STRONG_PROPERTIES,
@@ -443,6 +443,35 @@ class TestStrongR0AndR:
         I = list(v.certificate["I"])
         x = v.certificate["x"]
         assert np.max(np.abs(A[np.ix_(I, I)] @ x)) <= 1e-7
+
+    def test_degenerate_box_takes_the_point_decider(self):
+        # On a zero-radius box the strong sweep is the point decider's own:
+        # the same verdict and, for a failure, the same I, x and t.
+        rng = np.random.default_rng(17)
+        failures = 0
+        for n in (1, 2, 3, 4):
+            for k in range(100):
+                A = (rng.integers(-2, 3, (n, n)).astype(float) if k % 2
+                     else rng.uniform(-1.0, 1.0, (n, n)))
+                box = lb.degenerate(A)
+                for strong, witness in ((lb.strong_r0, r0_witness),
+                                        (lb.strong_r, r_witness)):
+                    try:
+                        hit = witness(A)
+                    except lb.LpEngineError:
+                        with pytest.raises(lb.LpEngineError):
+                            strong(box)
+                        continue
+                    v = strong(box)
+                    assert v.holds == (hit is None), A.tolist()
+                    if hit is None:
+                        continue
+                    failures += 1
+                    cert = v.certificate
+                    assert cert["I"] == hit[0]
+                    assert cert["x"].tobytes() == hit[1].tobytes()
+                    assert cert.get("t", 0.0) == (hit[2] if len(hit) == 3 else 0.0)
+        assert failures >= 200
 
 
 class TestVerdictInfrastructure:
