@@ -14,7 +14,6 @@ failed re-verification).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -28,6 +27,7 @@ from .errors import (
 )
 from .intervals import IntervalMatrix, degenerate, from_midpoint_radius
 from .io import ParseError, parse_matrix_file
+from .jsontext import dumps
 from .lcp import LcpInstance, QpInstance, enumerate_lcp_solutions, qp_to_interval_lcp, qp_to_lcp
 from .lp import LpEngineError
 from .oracle import cross_validate, falsify
@@ -39,6 +39,17 @@ from .tolerances import RHO_TOL
 __all__ = ["main", "run_cli"]
 
 _TOL_ENV = "LCPBOX_TOL"
+
+
+def _budget(text: str) -> int:
+    """A realization budget: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @cache
@@ -70,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=None,
                        help="dimension cap of every exponential enumeration "
                             "(default: each enumeration's own cap)")
-        p.add_argument("--oracle-budget", type=int, default=None,
+        p.add_argument("--oracle-budget", type=_budget, default=None,
                        help="also cross-validate verdicts with the falsifier")
         p.add_argument("--seed", type=int, default=0)
 
@@ -81,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_falsify = sub.add_parser("falsify", help="search for a counterexample")
     add_common(p_falsify)
     p_falsify.add_argument("--property", required=True)
-    p_falsify.add_argument("--budget", type=int, default=1000)
+    p_falsify.add_argument("--budget", type=_budget, default=1000)
     p_falsify.add_argument("--seed", type=int, default=0)
 
     p_lcp = sub.add_parser("lcp", help="enumerate complementary solutions")
@@ -125,8 +136,10 @@ def _config_from_args(args) -> CheckConfig:
 
 
 def _properties_from_args(args) -> tuple[str, ...]:
-    if args.properties:
+    if args.properties is not None:
         tokens = tuple(t.strip() for t in args.properties.split(",") if t.strip())
+        if not tokens:
+            raise ParseError("--properties lists no property token")
         for t in tokens:
             if t not in ALL_STRONG_PROPERTIES:
                 raise ParseError(
@@ -189,7 +202,7 @@ def _emit_report(report: Report, fmt: str, out) -> None:
 
 
 def _attach_oracle(report: Report, box: IntervalMatrix, args) -> None:
-    if getattr(args, "oracle_budget", None):
+    if args.oracle_budget is not None:
         consistency = cross_validate(box, report.verdicts,
                                      budget=args.oracle_budget, seed=args.seed)
         report.oracle = {
@@ -209,10 +222,9 @@ def _attach_oracle(report: Report, box: IntervalMatrix, args) -> None:
 
 
 def _cmd_check(args, out) -> int:
-    parsed = parse_matrix_file(args.file)
-    box = _as_box(parsed)
     config = _config_from_args(args)
     properties = _properties_from_args(args)
+    box = _as_box(parse_matrix_file(args.file))
     report = run_checks(box, properties, config)
     _attach_oracle(report, box, args)
     _emit_report(report, args.format, out)
@@ -237,7 +249,7 @@ def _cmd_falsify(args, out) -> int:
                 "kind": outcome.counterexample["kind"],
             },
         }
-        print(json.dumps(payload, indent=2), file=out)
+        print(dumps(payload), file=out)
     else:
         print(f"property {args.property}: {outcome.verdict} "
               f"({outcome.samples} realizations examined)", file=out)
@@ -277,7 +289,7 @@ def _cmd_lcp(args, out) -> int:
                 [i + 1 for i in S] for S in enum.singular_supports
             ],
         }
-        print(json.dumps(payload, indent=2), file=out)
+        print(dumps(payload), file=out)
     else:
         print(f"{len(enum.solutions)} solution(s) found", file=out)
         for sol in enum.solutions:
@@ -292,6 +304,8 @@ def _cmd_lcp(args, out) -> int:
 
 
 def _cmd_qp2lcp(args, out) -> int:
+    config = _config_from_args(args)
+    properties = _properties_from_args(args)
     parsed = parse_matrix_file(args.file)
     if not isinstance(parsed, QpInstance):
         raise ParseError("qp2lcp needs a QP input file")
@@ -302,8 +316,6 @@ def _cmd_qp2lcp(args, out) -> int:
     if args.radc_scale is not None:
         rad_c = args.radc_scale * np.abs(parsed.C)
     box = qp_to_interval_lcp(parsed, rad_b, rad_c)
-    config = _config_from_args(args)
-    properties = _properties_from_args(args)
     report = run_checks(box, properties, config)
     _attach_oracle(report, box, args)
     if args.format == "text":
@@ -314,15 +326,15 @@ def _cmd_qp2lcp(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
-    parsed = parse_matrix_file(args.file)
+    config = _config_from_args(args)
+    properties = _properties_from_args(args)
     try:
         scales = [float(s) for s in args.scales.split(",") if s.strip()]
     except ValueError as exc:
         raise ParseError(f"could not parse --scales: {exc}") from exc
     if not scales:
         raise ParseError("--scales must list at least one factor")
-    config = _config_from_args(args)
-    properties = _properties_from_args(args)
+    parsed = parse_matrix_file(args.file)
     rows = []
     worst = 0
     for scale in scales:
@@ -341,7 +353,7 @@ def _cmd_sweep(args, out) -> int:
             {"scale": scale, "report": report_to_dict(report)}
             for scale, report in rows
         ]
-        print(json.dumps(payload, indent=2), file=out)
+        print(dumps(payload), file=out)
     else:
         for scale, report in rows:
             holding = [v.property for v in report.verdicts if v.holds]

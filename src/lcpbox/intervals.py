@@ -10,6 +10,7 @@ Indices are 0-based internally; reports render them 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -60,6 +61,13 @@ class IntervalMatrix:
     @property
     def n(self) -> int:
         return self.lower.shape[0]
+
+    @cached_property
+    def memo(self) -> dict:
+        """Values that other modules derive from this box alone, kept here
+        so each is computed once per box; the box never changes, so they
+        never go stale."""
+        return {}
 
     @property
     def is_degenerate(self) -> bool:

@@ -3,7 +3,8 @@
 Certificates serialize with 1-based index sets so reports read naturally;
 internally everything stays 0-based. Serialization is lossless for floats
 (shortest round-trip repr via the json module), so a report round-trips
-bit-identically.
+bit-identically. The text is exactly ``json.dumps(report_to_dict(r),
+indent=2)``, written by :func:`lcpbox.jsontext.dumps`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .intervals import IntervalMatrix
+from .jsontext import dumps
 from .strong import (
     ALL_STRONG_PROPERTIES,
     CheckConfig,
@@ -138,7 +140,7 @@ def report_to_dict(report: Report) -> dict:
 
 
 def report_to_json(report: Report) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    return dumps(report_to_dict(report))
 
 
 def report_from_json(text: str) -> dict:

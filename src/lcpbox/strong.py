@@ -14,7 +14,10 @@ against the point-level definitions before reporting.
 
 The properties with fast paths are decided through one driver,
 :func:`_decide`, where a fast path that fails without a witness of its
-own takes the general route's. The general routes of column sufficiency,
+own takes the general route's. What the fast paths of several properties
+read off a box (the comparison-matrix solve, the identity and M/M0 tests
+of the midpoint, its sign scalings, symmetry and definiteness, rho of the
+radius) is computed once per box and kept with it (:class:`_BoxFacts`). The general routes of column sufficiency,
 R0 and R are the point deciders' own sweeps on the box's two bounds;
 strong R0 is the t = 0 case of strong R.
 Every determinant sign, in the sign-vertex sweeps and the singular-block
@@ -25,8 +28,9 @@ rule, which reads only the block's own rows.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -172,16 +176,123 @@ def _check_cap(n: int, default: int, what: str, config: CheckConfig) -> None:
         raise DimensionCapError(f"dimension {n} exceeds {what} cap {cap}")
 
 
-def _is_identity(M: np.ndarray) -> bool:
-    return bool(np.array_equal(M, np.eye(M.shape[0])))
+def _identity_rho(mid: np.ndarray, rad: np.ndarray) -> float | None:
+    """rho(rad) when ``mid`` is exactly the identity, else None."""
+    if not np.array_equal(mid, np.eye(mid.shape[0])):
+        return None
+    return spectral_radius_nonneg(rad)
 
 
-def _is_symmetric_box(box: IntervalMatrix) -> bool:
-    tol = pc._ztol(box.lower, box.upper)
-    return bool(
-        np.all(np.abs(box.midpoint - box.midpoint.T) <= tol)
-        and np.all(np.abs(box.radius - box.radius.T) <= tol)
-    )
+def _read_only(a):
+    if a is not None:
+        a.setflags(write=False)
+    return a
+
+
+class _BoxFacts:
+    """What the fast paths of several properties read off one box, each
+    computed on first use and then kept with the box (:func:`_facts`).
+    Values only: the verdicts drawn from them, and their notes, stay with
+    the fast paths, since those may depend on the config."""
+
+    def __init__(self, box: IntervalMatrix):
+        # A proxy: box -> memo -> facts -> box is then no reference cycle,
+        # and a box is freed as soon as its last user lets it go.
+        self.box = weakref.proxy(box)
+
+    @cached_property
+    def identity_rho(self) -> float | None:
+        return _identity_rho(self.box.midpoint, self.box.radius)
+
+    @cached_property
+    def symmetric_identity_rho(self) -> float | None:
+        """:func:`_identity_rho` of the symmetric parts."""
+        return _identity_rho(symmetric_part(self.box.midpoint),
+                             symmetric_part(self.box.radius))
+
+    @cached_property
+    def comparison(self) -> np.ndarray:
+        return _read_only(comparison_matrix(self.box))
+
+    @cached_property
+    def comparison_is_M(self) -> bool:
+        return pc.is_M(self.comparison)
+
+    @cached_property
+    def strongly_h(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(v, Cv) with v = C^-1 e, C the comparison matrix, when every
+        lower diagonal entry is positive, v > 0 and Cv > 1e-9 |C|v row by
+        row; else None."""
+        box = self.box
+        if not np.all(np.diag(box.lower) > 0.0):
+            return None
+        C = self.comparison
+        try:
+            v = np.linalg.solve(C, np.ones(box.n))
+        except np.linalg.LinAlgError:
+            return None
+        Cv = C @ v
+        if not (np.all(v > 0.0) and np.all(Cv > 1e-9 * (np.abs(C) @ v))):
+            return None
+        return v, Cv
+
+    @cached_property
+    def minor_bound_clears(self) -> bool:
+        """Ostrowski's minor bound from :attr:`strongly_h` exceeds twice
+        the zero rule's bound at every size k (see :func:`_strongly_p`)."""
+        v, Cv = self.strongly_h
+        box = self.box
+        rows = np.max(np.maximum(np.abs(box.lower), np.abs(box.upper)), axis=1)
+        bound = np.cumprod(np.sort(Cv / (v * rows)))
+        return not any(bound[k - 1] <= 2.0 * _zero_bound(k)
+                       for k in range(1, box.n + 1))
+
+    @cached_property
+    def midpoint_is_M(self) -> bool:
+        return pc.is_M(self.box.midpoint)
+
+    @cached_property
+    def midpoint_is_M0(self) -> bool:
+        return pc.is_M0(self.box.midpoint)
+
+    @cached_property
+    def symmetric_midpoint_is_M(self) -> bool:
+        return pc.is_M(symmetric_part(self.box.midpoint))
+
+    @cached_property
+    def scaling(self) -> np.ndarray | None:
+        """:func:`sign_scaling_to_z` of the midpoint."""
+        return _read_only(sign_scaling_to_z(self.box.midpoint))
+
+    @cached_property
+    def scaling_two_sided(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """:func:`sign_scaling_to_z_two_sided` of the midpoint."""
+        pair = sign_scaling_to_z_two_sided(self.box.midpoint)
+        return None if pair is None else tuple(_read_only(s) for s in pair)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Midpoint and radius symmetric to the box's zero tolerance."""
+        box = self.box
+        tol = pc._ztol(box.lower, box.upper)
+        return bool(np.all(np.abs(box.midpoint - box.midpoint.T) <= tol)
+                    and np.all(np.abs(box.radius - box.radius.T) <= tol))
+
+    @cached_property
+    def midpoint_is_pd(self) -> bool:
+        return is_positive_definite(self.box.midpoint)
+
+    @cached_property
+    def midpoint_is_psd(self) -> bool:
+        return is_positive_semidefinite(self.box.midpoint)
+
+
+def _facts(box: IntervalMatrix) -> _BoxFacts:
+    """The box's facts, made on first use and kept in ``box.memo``."""
+    facts = box.memo.get(_BoxFacts)
+    if facts is None:
+        facts = box.memo[_BoxFacts] = _BoxFacts(box)
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +350,10 @@ def _identity_fast(box: IntervalMatrix, config: CheckConfig, notes,
     ``rho_tol``, and rho within it of 1 is flagged as boundary; the
     certificate is rho. Quadratic-form classes see only symmetric parts,
     so they test the symmetrized midpoint and radius."""
-    mid, rad = box.midpoint, box.radius
-    if quadratic:
-        mid, rad = symmetric_part(mid), symmetric_part(rad)
-    if not _is_identity(mid):
+    facts = _facts(box)
+    rho = facts.symmetric_identity_rho if quadratic else facts.identity_rho
+    if rho is None:
         return None
-    rho = spectral_radius_nonneg(rad)
     tol = config.rho_tol
     holds = (rho < 1.0 - tol) if strict else (rho <= 1.0 + tol)
     return holds, "fast:identity-spectral-radius", {"rho": rho}, abs(rho - 1.0) <= tol
@@ -266,22 +375,9 @@ def _strongly_p(box: IntervalMatrix, config: CheckConfig, notes,
     exceed twice PIVOT_TOL * k. Never fails a box: when a test does not
     pass, the later routes decide.
     """
-    if not np.all(np.diag(box.lower) > 0.0):
+    facts = _facts(box)
+    if facts.strongly_h is None or (minors and not facts.minor_bound_clears):
         return None
-    C = comparison_matrix(box)
-    try:
-        v = np.linalg.solve(C, np.ones(box.n))
-    except np.linalg.LinAlgError:
-        return None
-    Cv = C @ v
-    if not (np.all(v > 0.0) and np.all(Cv > 1e-9 * (np.abs(C) @ v))):
-        return None
-    if minors:
-        rows = np.max(np.maximum(np.abs(box.lower), np.abs(box.upper)), axis=1)
-        bound = np.cumprod(np.sort(Cv / (v * rows)))
-        if any(bound[k - 1] <= 2.0 * _zero_bound(k)
-               for k in range(1, box.n + 1)):
-            return None
     return True, "fast:strong-H-positive-diagonal", None, False
 
 
@@ -425,11 +521,11 @@ def _min_magnitude_realization(box: IntervalMatrix) -> np.ndarray:
 def strong_h(box: IntervalMatrix, config: CheckConfig | None = None) -> PropertyVerdict:
     """Strong H: the box comparison matrix is an M-matrix."""
     t0 = time.perf_counter()
-    C = comparison_matrix(box)
-    if pc.is_M(C):
+    facts = _facts(box)
+    if facts.comparison_is_M:
         return _finish("h", True, "definition:comparison-matrix", None, t0)
     cert = {"realization": _min_magnitude_realization(box),
-            "comparison_matrix": C}
+            "comparison_matrix": facts.comparison.copy()}
     return _finish("h", False, "definition:comparison-matrix", cert, t0,
                    notes=("box comparison matrix is not an M-matrix",))
 
@@ -476,10 +572,9 @@ def _lower_symmetric(box: IntervalMatrix) -> np.ndarray:
 def _copositive_midpoint_m(box, config, notes, strict):
     """Symmetrized midpoint an M-matrix: the symmetrized lower bound must
     be an M-matrix (strict) or an M0-matrix."""
-    mid_s = symmetric_part(box.midpoint)
-    if not pc.is_M(mid_s):
+    if not _facts(box).symmetric_midpoint_is_M:
         return None
-    lower_s = mid_s - symmetric_part(box.radius)
+    lower_s = _lower_symmetric(box)
     ok = pc.is_M(lower_s) if strict else pc.is_M0(lower_s)
     return ok, "fast:midpoint-M", None if ok else {}, False
 
@@ -519,7 +614,7 @@ def strong_copositive(box: IntervalMatrix, strict: bool = False,
 
 
 def _semimonotone_midpoint_m0(box, config, notes):
-    if not pc.is_M0(box.midpoint):
+    if not _facts(box).midpoint_is_M0:
         return None
     ok = pc.is_M0(box.lower)
     return ok, "fast:midpoint-M0", None if ok else {}, False
@@ -749,7 +844,7 @@ def _pd_bisection_witness(box: IntervalMatrix, pd_verdict: PropertyVerdict) -> d
 def _nondegenerate_midpoint_m(box, config, notes):
     """A sign scaling D_y mid D_z that is an M-matrix: every realization
     is nondegenerate iff the scaled lower bound is an M-matrix."""
-    scaling = sign_scaling_to_z_two_sided(box.midpoint)
+    scaling = _facts(box).scaling_two_sided
     if scaling is None:
         return None
     y, z = scaling
@@ -769,7 +864,8 @@ def _nondegenerate_midpoint_m(box, config, notes):
 
 def _nondegenerate_midpoint_pd(box, config, notes):
     """A positive definite midpoint on a symmetric box: strong PD."""
-    if not (_is_symmetric_box(box) and is_positive_definite(box.midpoint)):
+    facts = _facts(box)
+    if not (facts.symmetric and facts.midpoint_is_pd):
         return None
     sub = strong_pd(box, config)
     cert = None if sub.holds else _pd_bisection_witness(box, sub)
@@ -827,14 +923,15 @@ def _cs_midpoint_m(box, config, notes):
     decided by rho(radius) <= 1, any other by the scaled lower bound being
     an M0-matrix."""
     mid = box.midpoint
-    s = sign_scaling_to_z(mid)
+    s = _facts(box).scaling
     if s is None or not pc.is_M(np.outer(s, s) * mid):
         return None
     if not is_irreducible(box.radius):
         notes.append("fast-path midpoint-M inapplicable: radius reducible")
         return None
-    if _is_identity(mid):
-        return _identity_fast(box, config, notes, strict=False)
+    hit = _identity_fast(box, config, notes, strict=False)
+    if hit is not None:
+        return hit
     ok = pc.is_M0(np.outer(s, s) * mid - box.radius)
     method = "fast:midpoint-M" if np.all(s == 1) else "fast:sign-scaled-midpoint-M"
     return ok, method, None if ok else {}, False
@@ -842,7 +939,8 @@ def _cs_midpoint_m(box, config, notes):
 
 def _cs_midpoint_psd(box, config, notes):
     """A positive semidefinite midpoint on a symmetric box: strong PSD."""
-    if not (_is_symmetric_box(box) and is_positive_semidefinite(box.midpoint)):
+    facts = _facts(box)
+    if not (facts.symmetric and facts.midpoint_is_psd):
         return None
     sub = strong_psd(box, config)
     cert = None if sub.holds else {"s": sub.certificate["s"]}
@@ -915,7 +1013,7 @@ def _r_realization(box: IntervalMatrix, I, x: np.ndarray, t: float) -> np.ndarra
 
 def _index_midpoint_m(box, config, notes):
     """An M-matrix midpoint: strong R0 and strong R reduce to strong H."""
-    if not pc.is_M(box.midpoint):
+    if not _facts(box).midpoint_is_M:
         return None
     sub = strong_h(box, config)
     return sub.holds, "fast:midpoint-M-via-strong-H", None if sub.holds else {}, False

@@ -306,6 +306,60 @@ class TestCli:
                            "--properties", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ("check", "--file", str(DATA / "box3_10pct.json")),
+        ("qp2lcp", "--file", str(DATA / "qp2.json")),
+        ("sweep", "--file", str(DATA / "box3_10pct.json"), "--scales", "0.1"),
+    ], ids=["check", "qp2lcp", "sweep"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_property_list_exit_two(self, command, fmt, monkeypatch,
+                                          capsys):
+        import lcpbox.report as report
+
+        monkeypatch.setattr(report, "check_property", None)  # no check runs
+        for tokens in (" , ", "", ","):
+            code, text = self.run(*command, "--properties", tokens,
+                                  "--format", fmt)
+            assert (code, text) == (2, "")
+            assert "--properties lists no property token" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--file", str(DATA / "box3_10pct.json"), "--oracle-budget"),
+        ("qp2lcp", "--file", str(DATA / "qp2.json"), "--oracle-budget"),
+        ("sweep", "--file", str(DATA / "box3_10pct.json"), "--scales", "0.1",
+         "--oracle-budget"),
+        ("falsify", "--file", str(DATA / "box3_10pct.json"),
+         "--property", "r0", "--budget"),
+    ], ids=["check", "qp2lcp", "sweep", "falsify"])
+    def test_budget_below_one_exit_two(self, argv, monkeypatch, capsys):
+        import lcpbox.report as report
+
+        monkeypatch.setattr(report, "check_property", None)  # no check runs
+        for budget in ("0", "-3"):
+            code, text = self.run(*argv, budget, "--format", "json")
+            assert (code, text) == (2, "")
+            assert f"must be at least 1, got {budget}" in capsys.readouterr().err
+
+    def test_json_outputs_have_the_indent_2_layout(self, tmp_path):
+        # Every JSON output is written by one writer, byte for byte
+        # json.dumps(..., indent=2) of what it encodes.
+        matrix = write_json(tmp_path, "m.json", {"n": 2, "matrix": [[1, -2], [3, 0.5]]})
+        box = str(DATA / "box3_15pct.json")
+        runs = [
+            ("check", "--file", box, "--properties", ",".join(TRACKED),
+             "--oracle-budget", "50"),
+            ("qp2lcp", "--file", str(DATA / "qp2.json"), "--radb-scale", "0.2"),
+            ("sweep", "--file", box, "--scales", "0.05,0.15"),
+            ("falsify", "--file", box, "--property", "semimonotone"),
+            ("falsify", "--file", str(DATA / "box3_10pct.json"),
+             "--property", "semimonotone", "--budget", "20"),
+            ("lcp", "--file", matrix, "--q=-1,-1"),
+        ]
+        for argv in runs:
+            code, text = self.run(*argv, "--format", "json")
+            assert code in (0, 1), argv
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", argv
+
     def test_falsify_exit_codes(self):
         code, text = self.run(
             "falsify", "--file", str(DATA / "box3_15pct.json"),

@@ -1,9 +1,15 @@
+import dataclasses
+import functools
+import gc
 import itertools
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import lcpbox as lb
+from lcpbox import strong
 from lcpbox.errors import DimensionCapError, FastPathUnavailableError
 from lcpbox.intervals import sign_vectors
 from lcpbox.linalg import batch_det_signs, minor_sign
@@ -856,3 +862,80 @@ class TestFastPathFailureRule:
         for fast_paths in ("auto", "off"):
             with pytest.raises(DimensionCapError, match="cap 3"):
                 lb.check_property(box, prop, CheckConfig(fast_paths=fast_paths, cap=3))
+
+
+def _fact_population():
+    """Boxes of the seeded populations above that reach every box fact:
+    strongly H boxes (n = 2..6) and identity, M- and PSD-midpoint boxes."""
+    return (_seeded_strongly_h_boxes(10, seed=7)
+            + list(itertools.islice(_identity_and_m_midpoint_boxes(seed=6), 30)))
+
+
+def _outcome(box, prop, config):
+    try:
+        v = lb.check_property(box, prop, config)
+    except (lb.LpEngineError, lb.CertificateVerificationError,
+            DimensionCapError) as exc:  # an engine fault must repeat too
+        return type(exc).__name__, str(exc)
+    cert = None if v.certificate is None else {
+        k: (np.asarray(a).dtype.str, np.asarray(a).shape, np.asarray(a).tobytes())
+        for k, a in v.certificate.items()}
+    return v.holds, v.method, v.boundary, v.notes, cert
+
+
+class TestBoxFacts:
+    def test_each_fact_computed_at_most_once_per_box(self, monkeypatch):
+        # Spy on every fact and on the functions only the facts call: over
+        # all 14 properties each runs at most once per box, and every fact
+        # is needed by some box.
+        computed = Counter()
+        for name, fact in list(vars(strong._BoxFacts).items()):
+            if isinstance(fact, functools.cached_property):
+                def counting(facts, _compute=fact.func, _name=name):
+                    computed[id(facts.box), _name] += 1
+                    return _compute(facts)
+                spy = functools.cached_property(counting)
+                spy.__set_name__(strong._BoxFacts, name)
+                monkeypatch.setattr(strong._BoxFacts, name, spy)
+        for name in ("comparison_matrix", "sign_scaling_to_z",
+                     "sign_scaling_to_z_two_sided"):
+            def counting(arg, _f=getattr(strong, name), _name=name):
+                computed[id(arg), _name] += 1
+                return _f(arg)
+            monkeypatch.setattr(strong, name, counting)
+        boxes = _fact_population()
+        for box in boxes:
+            for prop in ALL_STRONG_PROPERTIES:
+                _outcome(box, prop, None)
+        assert max(computed.values()) == 1
+        facts = {name for name, fact in vars(strong._BoxFacts).items()
+                 if isinstance(fact, functools.cached_property)}
+        assert {name for _, name in computed} >= facts
+
+    def test_box_with_facts_is_freed_without_the_cycle_collector(self):
+        box = next(_identity_and_m_midpoint_boxes(seed=6))
+        for prop in ALL_STRONG_PROPERTIES:
+            lb.check_property(box, prop)
+        assert box.memo
+        alive = weakref.ref(box)
+        gc.disable()
+        try:
+            del box
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("config", [None, GENERAL], ids=["auto", "off"])
+    def test_verdict_does_not_depend_on_cached_facts(self, config):
+        # Each property on a fresh copy of the box (no fact computed yet)
+        # and on one copy after all 14 properties have run on it (every
+        # fact any of them needs is kept): the same verdict, method,
+        # boundary flag, notes and certificate arrays, bit for bit.
+        for box in _fact_population():
+            fresh = {p: _outcome(dataclasses.replace(box), p, config)
+                     for p in ALL_STRONG_PROPERTIES}
+            shared = dataclasses.replace(box)
+            for p in ALL_STRONG_PROPERTIES:
+                _outcome(shared, p, config)
+            for p in ALL_STRONG_PROPERTIES:
+                assert _outcome(shared, p, config) == fresh[p], (box.n, p)
