@@ -136,7 +136,7 @@ def _config_from_args(args) -> CheckConfig:
 
 
 def _properties_from_args(args) -> tuple[str, ...]:
-    if args.properties is not None:
+    if args.properties:
         tokens = tuple(t.strip() for t in args.properties.split(",") if t.strip())
         if not tokens:
             raise ParseError("--properties lists no property token")

@@ -1,10 +1,11 @@
 """JSON text in the layout of ``json.dumps(obj, indent=2)``, byte for byte.
 
 Before Python 3.13, ``json.dumps`` with an ``indent`` runs the json
-module's pure-Python encoder, one generator step per value, so
-:func:`dumps` is this module's writer, about a third faster on reports.
-From 3.13 the C encoder writes the indented layout itself, about twice as
-fast as the writer, so :func:`dumps` is ``json.dumps`` there.
+module's pure-Python encoder, one generator step per value; :func:`dumps`
+is about a third faster on reports there. From 3.13 ``json.dumps``
+writes indented text in C and is faster than this writer, but lcpbox
+writes with :func:`dumps` on every Python, so every Python runs the same
+code.
 
 The writer writes dicts and single values directly, and sends every list
 of plain values (a vector, a row of notes) or list of such lists (a
@@ -26,8 +27,6 @@ installing the package.
 from __future__ import annotations
 
 import json
-import sys
-from functools import partial
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 __all__ = ["dumps"]
@@ -40,14 +39,11 @@ _PLAIN = frozenset((str, int, float, bool, type(None)))
 _ENCODERS: dict[str, object] = {}
 
 
-def _dumps(obj) -> str:
-    """The writer: ``json.dumps(obj, indent=2)``, byte for byte."""
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte."""
     out: list[str] = []
     _write(obj, "\n", out)
     return "".join(out)
-
-
-dumps = partial(json.dumps, indent=2) if sys.version_info >= (3, 13) else _dumps
 
 
 def _encode(seq, sep: str) -> str:

@@ -15,11 +15,11 @@ against the point-level definitions before reporting.
 The properties with fast paths are decided through one driver,
 :func:`_decide`, where a fast path that fails without a witness of its
 own takes the general route's. What the fast paths of several properties
-read off a box (the comparison-matrix solve, the identity and M/M0 tests
-of the midpoint, its sign scalings, symmetry and definiteness, rho of the
-radius) is computed once per box and kept with it (:class:`_BoxFacts`). The general routes of column sufficiency,
-R0 and R are the point deciders' own sweeps on the box's two bounds;
-strong R0 is the t = 0 case of strong R.
+read off a box (the comparison matrix and its solve, the identity and M
+tests of the midpoint, the box's symmetry, rho of the radius) is computed
+once per box and kept with it (:class:`_BoxFacts`). The general routes of
+column sufficiency, R0 and R are the point deciders' own sweeps on the
+box's two bounds; strong R0 is the t = 0 case of strong R.
 Every determinant sign, in the sign-vertex sweeps and the singular-block
 bisection alike, is classified by :func:`lcpbox.linalg.minor_sign`'s zero
 rule, which reads only the block's own rows.
@@ -183,12 +183,6 @@ def _identity_rho(mid: np.ndarray, rad: np.ndarray) -> float | None:
     return spectral_radius_nonneg(rad)
 
 
-def _read_only(a):
-    if a is not None:
-        a.setflags(write=False)
-    return a
-
-
 class _BoxFacts:
     """What the fast paths of several properties read off one box, each
     computed on first use and then kept with the box (:func:`_facts`).
@@ -212,7 +206,9 @@ class _BoxFacts:
 
     @cached_property
     def comparison(self) -> np.ndarray:
-        return _read_only(comparison_matrix(self.box))
+        C = comparison_matrix(self.box)
+        C.setflags(write=False)
+        return C
 
     @cached_property
     def comparison_is_M(self) -> bool:
@@ -237,38 +233,12 @@ class _BoxFacts:
         return v, Cv
 
     @cached_property
-    def minor_bound_clears(self) -> bool:
-        """Ostrowski's minor bound from :attr:`strongly_h` exceeds twice
-        the zero rule's bound at every size k (see :func:`_strongly_p`)."""
-        v, Cv = self.strongly_h
-        box = self.box
-        rows = np.max(np.maximum(np.abs(box.lower), np.abs(box.upper)), axis=1)
-        bound = np.cumprod(np.sort(Cv / (v * rows)))
-        return not any(bound[k - 1] <= 2.0 * _zero_bound(k)
-                       for k in range(1, box.n + 1))
-
-    @cached_property
     def midpoint_is_M(self) -> bool:
         return pc.is_M(self.box.midpoint)
 
     @cached_property
-    def midpoint_is_M0(self) -> bool:
-        return pc.is_M0(self.box.midpoint)
-
-    @cached_property
     def symmetric_midpoint_is_M(self) -> bool:
         return pc.is_M(symmetric_part(self.box.midpoint))
-
-    @cached_property
-    def scaling(self) -> np.ndarray | None:
-        """:func:`sign_scaling_to_z` of the midpoint."""
-        return _read_only(sign_scaling_to_z(self.box.midpoint))
-
-    @cached_property
-    def scaling_two_sided(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """:func:`sign_scaling_to_z_two_sided` of the midpoint."""
-        pair = sign_scaling_to_z_two_sided(self.box.midpoint)
-        return None if pair is None else tuple(_read_only(s) for s in pair)
 
     @cached_property
     def symmetric(self) -> bool:
@@ -277,14 +247,6 @@ class _BoxFacts:
         tol = pc._ztol(box.lower, box.upper)
         return bool(np.all(np.abs(box.midpoint - box.midpoint.T) <= tol)
                     and np.all(np.abs(box.radius - box.radius.T) <= tol))
-
-    @cached_property
-    def midpoint_is_pd(self) -> bool:
-        return is_positive_definite(self.box.midpoint)
-
-    @cached_property
-    def midpoint_is_psd(self) -> bool:
-        return is_positive_semidefinite(self.box.midpoint)
 
 
 def _facts(box: IntervalMatrix) -> _BoxFacts:
@@ -375,9 +337,16 @@ def _strongly_p(box: IntervalMatrix, config: CheckConfig, notes,
     exceed twice PIVOT_TOL * k. Never fails a box: when a test does not
     pass, the later routes decide.
     """
-    facts = _facts(box)
-    if facts.strongly_h is None or (minors and not facts.minor_bound_clears):
+    hit = _facts(box).strongly_h
+    if hit is None:
         return None
+    if minors:
+        v, Cv = hit
+        rows = np.max(np.maximum(np.abs(box.lower), np.abs(box.upper)), axis=1)
+        bound = np.cumprod(np.sort(Cv / (v * rows)))
+        if any(bound[k - 1] <= 2.0 * _zero_bound(k)
+               for k in range(1, box.n + 1)):
+            return None
     return True, "fast:strong-H-positive-diagonal", None, False
 
 
@@ -614,7 +583,7 @@ def strong_copositive(box: IntervalMatrix, strict: bool = False,
 
 
 def _semimonotone_midpoint_m0(box, config, notes):
-    if not _facts(box).midpoint_is_M0:
+    if not pc.is_M0(box.midpoint):
         return None
     ok = pc.is_M0(box.lower)
     return ok, "fast:midpoint-M0", None if ok else {}, False
@@ -844,7 +813,7 @@ def _pd_bisection_witness(box: IntervalMatrix, pd_verdict: PropertyVerdict) -> d
 def _nondegenerate_midpoint_m(box, config, notes):
     """A sign scaling D_y mid D_z that is an M-matrix: every realization
     is nondegenerate iff the scaled lower bound is an M-matrix."""
-    scaling = _facts(box).scaling_two_sided
+    scaling = sign_scaling_to_z_two_sided(box.midpoint)
     if scaling is None:
         return None
     y, z = scaling
@@ -864,8 +833,7 @@ def _nondegenerate_midpoint_m(box, config, notes):
 
 def _nondegenerate_midpoint_pd(box, config, notes):
     """A positive definite midpoint on a symmetric box: strong PD."""
-    facts = _facts(box)
-    if not (facts.symmetric and facts.midpoint_is_pd):
+    if not (_facts(box).symmetric and is_positive_definite(box.midpoint)):
         return None
     sub = strong_pd(box, config)
     cert = None if sub.holds else _pd_bisection_witness(box, sub)
@@ -923,7 +891,7 @@ def _cs_midpoint_m(box, config, notes):
     decided by rho(radius) <= 1, any other by the scaled lower bound being
     an M0-matrix."""
     mid = box.midpoint
-    s = _facts(box).scaling
+    s = sign_scaling_to_z(mid)
     if s is None or not pc.is_M(np.outer(s, s) * mid):
         return None
     if not is_irreducible(box.radius):
@@ -939,8 +907,7 @@ def _cs_midpoint_m(box, config, notes):
 
 def _cs_midpoint_psd(box, config, notes):
     """A positive semidefinite midpoint on a symmetric box: strong PSD."""
-    facts = _facts(box)
-    if not (facts.symmetric and facts.midpoint_is_psd):
+    if not (_facts(box).symmetric and is_positive_semidefinite(box.midpoint)):
         return None
     sub = strong_psd(box, config)
     cert = None if sub.holds else {"s": sub.certificate["s"]}

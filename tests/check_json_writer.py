@@ -29,7 +29,7 @@ def load_writer():
     spec = importlib.util.spec_from_file_location("jsontext", PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module._dumps
+    return module.dumps
 
 
 def scalar(rng):

@@ -1,7 +1,4 @@
-"""The JSON writer gives exactly the bytes of ``json.dumps(obj, indent=2)``.
-
-``_dumps`` is the writer itself, ``dumps`` what lcpbox writes with: the
-writer before Python 3.13, ``json.dumps`` from 3.13."""
+"""The JSON writer gives exactly the bytes of ``json.dumps(obj, indent=2)``."""
 
 import json
 import math
@@ -10,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcpbox.jsontext import _dumps, dumps
+from lcpbox.jsontext import dumps
 
 SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                   2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1)
@@ -50,9 +47,7 @@ values = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(values)
 def test_writer_matches_json_dumps_indent_2(obj):
-    expected = json.dumps(obj, indent=2)
-    assert _dumps(obj) == expected
-    assert dumps(obj) == expected
+    assert dumps(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("obj", [
@@ -60,7 +55,7 @@ def test_writer_matches_json_dumps_indent_2(obj):
     [np.float64(1.5), [np.float64(-0.0)]], {1: 2, 2.5: 3, True: 4, None: 5},
 ])
 def test_edge_shapes_and_subclasses(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)
+    assert dumps(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("obj", [object(), [np.int64(1)], {"a": {1, 2}},
@@ -69,4 +64,4 @@ def test_unserializable_input_raises_type_error(obj):
     with pytest.raises(TypeError):
         json.dumps(obj, indent=2)
     with pytest.raises(TypeError):
-        _dumps(obj)
+        dumps(obj)

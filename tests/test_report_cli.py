@@ -317,11 +317,21 @@ class TestCli:
         import lcpbox.report as report
 
         monkeypatch.setattr(report, "check_property", None)  # no check runs
-        for tokens in (" , ", "", ","):
+        for tokens in (" , ", ","):
             code, text = self.run(*command, "--properties", tokens,
                                   "--format", fmt)
             assert (code, text) == (2, "")
             assert "--properties lists no property token" in capsys.readouterr().err
+
+    def test_empty_properties_value_means_the_default_set(self):
+        argv = ("check", "--file", str(DATA / "box3_10pct.json"),
+                "--format", "json")
+        code, text = self.run(*argv, "--properties", "")
+        default_code, default_text = self.run(*argv)
+        assert code == default_code
+        assert ([p["property"] for p in json.loads(text)["properties"]]
+                == [p["property"] for p in json.loads(default_text)["properties"]]
+                == list(lb.DEFAULT_CHECK_PROPERTIES))
 
     @pytest.mark.parametrize("argv", [
         ("check", "--file", str(DATA / "box3_10pct.json"), "--oracle-budget"),

@@ -885,9 +885,9 @@ def _outcome(box, prop, config):
 
 class TestBoxFacts:
     def test_each_fact_computed_at_most_once_per_box(self, monkeypatch):
-        # Spy on every fact and on the functions only the facts call: over
-        # all 14 properties each runs at most once per box, and every fact
-        # is needed by some box.
+        # Spy on every fact and on comparison_matrix, which only the facts
+        # call: over all 14 properties each runs at most once per box, and
+        # every fact is needed by some box.
         computed = Counter()
         for name, fact in list(vars(strong._BoxFacts).items()):
             if isinstance(fact, functools.cached_property):
@@ -897,12 +897,10 @@ class TestBoxFacts:
                 spy = functools.cached_property(counting)
                 spy.__set_name__(strong._BoxFacts, name)
                 monkeypatch.setattr(strong._BoxFacts, name, spy)
-        for name in ("comparison_matrix", "sign_scaling_to_z",
-                     "sign_scaling_to_z_two_sided"):
-            def counting(arg, _f=getattr(strong, name), _name=name):
-                computed[id(arg), _name] += 1
-                return _f(arg)
-            monkeypatch.setattr(strong, name, counting)
+        def counting(box, _f=strong.comparison_matrix):
+            computed[id(box), "comparison_matrix"] += 1
+            return _f(box)
+        monkeypatch.setattr(strong, "comparison_matrix", counting)
         boxes = _fact_population()
         for box in boxes:
             for prop in ALL_STRONG_PROPERTIES:
